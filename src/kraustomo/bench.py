@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,7 @@ from .gd import GdConfig, fit
 from .pls import InformationIncompleteError, PlsConfig, fit_pls, project_cp
 
 CSV_HEADER = ["sweep_value", "seed", "method", "k", "infidelity",
-              "iterations", "wall_time_s"]
+              "iterations", "wall_time_s", "error"]
 
 # Probe/measurement subset size used for timing cells where the full
 # ensemble is unnecessary (per-iteration cost is batch-size bound).
@@ -75,9 +74,10 @@ def _ensemble(n):
     return _ENSEMBLES[n]
 
 
-def _row(value, seed, method, k, infid, iters, wall):
+def _row(value, seed, method, k, infid, iters, wall, error=""):
     return {"sweep_value": value, "seed": seed, "method": method, "k": k,
-            "infidelity": infid, "iterations": iters, "wall_time_s": wall}
+            "infidelity": infid, "iterations": iters, "wall_time_s": wall,
+            "error": error}
 
 
 def _reconstruct_rows(spec, value, seed, tomogram, truth_choi):
@@ -161,30 +161,22 @@ _CELL_RUNNERS = {"noise": _noise_cell, "gamma": _gamma_cell,
                  "timing": _timing_cell}
 
 
-def run_sweep(spec, jobs=1):
+def run_sweep(spec):
     """Run every (sweep value, seed) cell; returns the flat list of rows.
 
-    Cell failures are recorded as rows with method "error" and the run
-    continues.
+    Cell failures are recorded as rows with method "error" and the
+    exception message in "error", and the run continues.
     """
     runner = _CELL_RUNNERS[spec.sweep]
-    cells = [(idx, value, seed) for idx, value in enumerate(spec.values)
-             for seed in spec.seeds]
-
-    def one(cell):
-        idx, value, seed = cell
-        try:
-            return runner(spec, idx, value, seed)
-        except Exception as exc:  # recorded per-row, sweep continues
-            return [_row(value, seed, "error", "", math.nan, 0, math.nan)
-                    | {"error": str(exc)}]
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(one, cells))
-    else:
-        chunks = [one(cell) for cell in cells]
-    return [row for chunk in chunks for row in chunk]
+    rows = []
+    for idx, value in enumerate(spec.values):
+        for seed in spec.seeds:
+            try:
+                rows.extend(runner(spec, idx, value, seed))
+            except Exception as exc:  # recorded per-row, sweep continues
+                rows.append(_row(value, seed, "error", "", math.nan, 0,
+                                 math.nan, str(exc)))
+    return rows
 
 
 def summarize(rows):
@@ -225,8 +217,8 @@ def write_summary(summary, path):
         json.dump({"schema_version": 1, "summary": summary}, fh, indent=2)
 
 
-def run_benchmark(spec, csv_path, summary_path, jobs=1):
-    rows = run_sweep(spec, jobs=jobs)
+def run_benchmark(spec, csv_path, summary_path):
+    rows = run_sweep(spec)
     write_rows(rows, csv_path)
     summary = summarize(rows)
     write_summary(summary, summary_path)

@@ -22,8 +22,6 @@ EXIT_USAGE = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_NUMERICAL = 4
 
-SCHEMA_VERSION = 1
-
 
 def _seed(args):
     env = os.environ.get("QPT_SEED")
@@ -96,7 +94,7 @@ def cmd_reconstruct(args):
                           batch_size=args.batch, seed=_seed(args))
         est, trace = gd.fit(tomogram, cfg)
         doc = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": data.SCHEMA_VERSION,
             "method": "gd",
             "config": cfg.to_dict(),
             "kraus": [data.complex_to_json(k) for k in est.blocks],
@@ -110,7 +108,7 @@ def cmd_reconstruct(args):
                             dykstra_tol=args.proj_tol)
         result = pls.fit_pls(tomogram, cfg)
         doc = {
-            "schema_version": SCHEMA_VERSION,
+            "schema_version": data.SCHEMA_VERSION,
             "method": "pls",
             "config": cfg.to_dict(),
             "choi": data.complex_to_json(result.choi.mat),
@@ -134,17 +132,20 @@ def _choi_from_file(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise data.SchemaError(f"malformed JSON in {path}: {exc}") from exc
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if doc.get("schema_version") != data.SCHEMA_VERSION:
         raise data.SchemaError(f"unsupported schema_version in {path}")
-    if doc.get("method") == "gd" or "kraus" in doc:
-        blocks = np.array([data.complex_from_json(k) for k in doc["kraus"]])
-        return kraus_to_choi(KrausStack(blocks))
-    if doc.get("method") == "pls" or "choi" in doc:
-        return ChoiMatrix(data.complex_from_json(doc["choi"]))
-    if "truth" in doc:
-        blocks = np.array([data.complex_from_json(k)
-                           for k in doc["truth"]["kraus"]])
-        return kraus_to_choi(KrausStack(blocks))
+    try:
+        if doc.get("method") == "gd" or "kraus" in doc:
+            blocks = np.array([data.complex_from_json(k) for k in doc["kraus"]])
+            return kraus_to_choi(KrausStack(blocks))
+        if doc.get("method") == "pls" or "choi" in doc:
+            return ChoiMatrix(data.complex_from_json(doc["choi"]))
+        if "truth" in doc:
+            blocks = np.array([data.complex_from_json(k)
+                               for k in doc["truth"]["kraus"]])
+            return kraus_to_choi(KrausStack(blocks))
+    except KeyError as exc:
+        raise data.SchemaError(f"missing key {exc} in {path}") from exc
     raise data.SchemaError(f"no Kraus or Choi payload in {path}")
 
 
@@ -158,8 +159,7 @@ def cmd_fidelity(args):
 
 def cmd_benchmark(args):
     spec = bench.SweepSpec.from_json(args.spec)
-    rows, summary = bench.run_benchmark(spec, args.out_csv, args.out_json,
-                                        jobs=args.jobs)
+    rows, summary = bench.run_benchmark(spec, args.out_csv, args.out_json)
     failed = sum(1 for r in rows if r["method"] == "error")
     print(f"{len(rows)} rows -> {args.out_csv} ({failed} failed cells), "
           f"summary -> {args.out_json}")
@@ -212,7 +212,6 @@ def build_parser():
     p.add_argument("--spec", required=True)
     p.add_argument("--out-csv", required=True)
     p.add_argument("--out-json", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_benchmark)
     return parser
 

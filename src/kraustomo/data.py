@@ -163,7 +163,9 @@ def sensing_matrix(probes, measurements):
 
     One row per (probe, measurement) pair in row-major pair order.  Row
     (i, j) is the conjugated row-major flattening of rho_i^T (x) M_j,
-    which reproduces the partial-trace channel action exactly.
+    which reproduces the partial-trace channel action exactly.  A dense
+    reference: ``pls.linear_inversion`` uses its Kronecker factors
+    instead, and tests check it against ``pinv(S)``.
     """
     rho = _stack_states(probes)
     meas = _stack_states(measurements)
@@ -244,20 +246,23 @@ def load(path):
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r} in {path}")
-    dim = doc["dim"]
-    truth = None
-    if "truth" in doc:
-        truth = KrausStack(np.array([complex_from_json(k)
-                                     for k in doc["truth"]["kraus"]]))
-    return Tomogram(doc["kind"], dim,
-                    materialize_probes(doc["probes"], dim),
-                    materialize_probes(doc["measurements"], dim),
-                    doc["data"], doc["noise_sigma"], seed=doc.get("seed"),
-                    probe_spec={k: v for k, v in doc["probes"].items()
-                                if k != "matrices"},
-                    meas_spec={k: v for k, v in doc["measurements"].items()
-                               if k != "matrices"},
-                    truth=truth)
+    try:
+        dim = doc["dim"]
+        truth = None
+        if "truth" in doc:
+            truth = KrausStack(np.array([complex_from_json(k)
+                                         for k in doc["truth"]["kraus"]]))
+        return Tomogram(doc["kind"], dim,
+                        materialize_probes(doc["probes"], dim),
+                        materialize_probes(doc["measurements"], dim),
+                        doc["data"], doc["noise_sigma"], seed=doc.get("seed"),
+                        probe_spec={k: v for k, v in doc["probes"].items()
+                                    if k != "matrices"},
+                        meas_spec={k: v for k, v in doc["measurements"].items()
+                                   if k != "matrices"},
+                        truth=truth)
+    except KeyError as exc:
+        raise SchemaError(f"missing key {exc} in {path}") from exc
 
 
 def export_csv(tomogram, path):

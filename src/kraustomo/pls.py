@@ -1,22 +1,22 @@
 """Projected-least-squares baseline: linear inversion + CPTP projection.
 
-The unconstrained Choi estimate comes from the pseudo-inverse of the
-sensing matrix; it is then projected onto the CPTP set with Dykstra's
-alternating projections between the PSD cone (CP) and the TP affine
-subspace.
+The unconstrained Choi estimate is a factored linear inversion: every
+tomogram is a probe set x measurement set, so the sensing matrix is
+S = (R (x) M) P with P a column permutation, and its pseudo-inverse
+factors as P^T (pinv R (x) pinv M) (Surawy-Stepney et al., Quantum 6,
+844 (2022)).  The dense S (``data.sensing_matrix``) is never built; it
+remains only as a reference oracle.  The estimate is then projected
+onto the CPTP set with Dykstra's alternating projections between the
+PSD cone (CP) and the TP affine subspace.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import ChoiMatrix, partial_trace_out
-from .data import sensing_matrix
-
-_PINV_CACHE = {}
 
 
 class InformationIncompleteError(ValueError):
@@ -27,17 +27,14 @@ class InformationIncompleteError(ValueError):
 class PlsConfig:
     dykstra_max_iters: int = 1000
     dykstra_tol: float = 1e-7
-    solver: str = "pseudo-inverse"   # or "normal-equations"
 
     def __post_init__(self):
         if self.dykstra_max_iters < 1 or self.dykstra_tol <= 0:
             raise ValueError("iteration count and tolerance must be positive")
-        if self.solver not in ("pseudo-inverse", "normal-equations"):
-            raise ValueError(f"unknown solver {self.solver!r}")
 
     def to_dict(self):
         return {"dykstra_max_iters": self.dykstra_max_iters,
-                "dykstra_tol": self.dykstra_tol, "solver": self.solver,
+                "dykstra_tol": self.dykstra_tol,
                 "projection": "dykstra-alternating"}
 
 
@@ -48,39 +45,29 @@ class PlsResult:
     cycles: int
 
 
-def _ensemble_key(tomogram):
-    digest = hashlib.sha1()
-    digest.update(np.ascontiguousarray(tomogram.probes))
-    digest.update(np.ascontiguousarray(tomogram.measurements))
-    return digest.hexdigest()
-
-
-def _pinv(tomogram):
-    key = _ensemble_key(tomogram)
-    if key not in _PINV_CACHE:
-        s = sensing_matrix(tomogram.probes, tomogram.measurements)
-        n4 = tomogram.dim ** 4
-        rank = np.linalg.matrix_rank(s)
-        if rank < n4:
-            raise InformationIncompleteError(
-                f"sensing matrix rank {rank} < {n4} unknowns: the probe and "
-                f"measurement sets are not informationally complete "
-                f"(subsampled or too few operators); linear inversion has "
-                f"no unique solution")
-        _PINV_CACHE[key] = np.linalg.pinv(s)
-    return _PINV_CACHE[key]
-
-
 def linear_inversion(tomogram):
     """Unconstrained least-squares Choi estimate, Hermitized.
 
-    Requires an informationally complete tomogram (full-column-rank
-    sensing matrix); raises InformationIncompleteError otherwise.
+    With R holding the conjugated, flattened rho_i^T and M the
+    conjugated, flattened M_j, the data are d = R X M^T for X a
+    reshuffle of the Choi matrix, so X = pinv(R) d pinv(M)^T.  Requires
+    an informationally complete tomogram (rank R = rank M = N^2);
+    raises InformationIncompleteError otherwise.
     """
-    pinv = _pinv(tomogram)
-    vec = pinv @ tomogram.data.ravel()
-    n2 = tomogram.dim ** 2
-    est = vec.reshape(n2, n2)
+    n = tomogram.dim
+    n2 = n * n
+    r = tomogram.probes.transpose(0, 2, 1).reshape(-1, n2).conj()
+    m = tomogram.measurements.reshape(-1, n2).conj()
+    ranks = np.linalg.matrix_rank(r), np.linalg.matrix_rank(m)
+    if min(ranks) < n2:
+        raise InformationIncompleteError(
+            f"probe rank {ranks[0]} and measurement rank {ranks[1]} must both "
+            f"be {n2}: the probe and measurement sets are not informationally "
+            f"complete (subsampled or too few operators); linear inversion "
+            f"has no unique solution")
+    x = np.linalg.pinv(r) @ tomogram.data @ np.linalg.pinv(m).T
+    # x[(i, k), (j, l)] = Choi[(i, j), (k, l)]
+    est = x.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n2, n2)
     return ChoiMatrix(0.5 * (est + est.conj().T))
 
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kraustomo.cli import (EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE, main)
-from kraustomo.data import load
+from kraustomo.core import ChoiMatrix
+from kraustomo.data import complex_from_json, load
+from kraustomo.pls import cp_violation, tp_violation
 
 
 @pytest.fixture()
@@ -120,6 +122,28 @@ class TestReconstruct:
         code = main(["reconstruct", "--method", "gd", "--data", str(bad)])
         assert code == EXIT_USAGE
 
+    def test_missing_key_exits_2(self, dv_dataset, capsys):
+        doc = json.loads(dv_dataset.read_text())
+        del doc["dim"]
+        dv_dataset.write_text(json.dumps(doc))
+        code = main(["reconstruct", "--method", "pls", "--data",
+                     str(dv_dataset)])
+        assert code == EXIT_USAGE
+        assert "dim" in capsys.readouterr().err
+
+    def test_pls_three_qubits(self, tmp_path, capsys):
+        data_path = tmp_path / "dv3.json"
+        out = tmp_path / "est3.json"
+        assert main(["synth", "--kind", "dv", "--qubits", "3", "--rank", "8",
+                     "--noise", "1e-2", "--out", str(data_path)]) == EXIT_OK
+        code = main(["reconstruct", "--method", "pls", "--data",
+                     str(data_path), "--out", str(out)])
+        assert code == EXIT_OK
+        choi = ChoiMatrix(complex_from_json(json.loads(out.read_text())["choi"]))
+        assert choi.dim == 8
+        assert tp_violation(choi) <= 1e-6
+        assert cp_violation(choi) <= 1e-6
+
 
 class TestFidelity:
     def test_dataset_truth_vs_itself(self, dv_dataset, capsys):
@@ -151,6 +175,13 @@ class TestFidelity:
         assert main(["fidelity", str(gd_est), str(pls_est)]) == EXIT_OK
         fid = float(capsys.readouterr().out.splitlines()[0])
         assert 0.5 <= fid <= 1.0
+
+    def test_truth_payload_missing_kraus(self, dv_dataset, capsys):
+        doc = json.loads(dv_dataset.read_text())
+        del doc["truth"]["kraus"]
+        dv_dataset.write_text(json.dumps(doc))
+        code = main(["fidelity", str(dv_dataset), str(dv_dataset)])
+        assert code == EXIT_USAGE
 
     def test_payload_without_kraus_or_choi(self, tmp_path, capsys):
         bad = tmp_path / "empty.json"

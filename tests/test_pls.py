@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kraustomo.core import ChoiMatrix, kraus_to_choi, process_fidelity
-from kraustomo.data import subsample, synthesize
+from kraustomo.data import sensing_matrix, subsample, synthesize
 from kraustomo.dv import pauli_ensemble, random_process
 from kraustomo.pls import (InformationIncompleteError, PlsConfig,
                            cp_violation, fit_pls, linear_inversion,
@@ -21,8 +21,6 @@ class TestPlsConfig:
             PlsConfig(dykstra_max_iters=0)
         with pytest.raises(ValueError):
             PlsConfig(dykstra_tol=0.0)
-        with pytest.raises(ValueError, match="solver"):
-            PlsConfig(solver="magic")
 
 
 class TestLinearInversion:
@@ -50,6 +48,36 @@ class TestLinearInversion:
         small = subsample(tomogram, 0.1, rng)
         with pytest.raises(InformationIncompleteError, match="complete"):
             linear_inversion(small)
+
+
+def _dense_oracle(tomogram):
+    """Hermitized pinv(S) @ d over the dense sensing matrix, or None when
+    S lacks full column rank."""
+    s = sensing_matrix(tomogram.probes, tomogram.measurements)
+    if np.linalg.matrix_rank(s) < tomogram.dim ** 4:
+        return None
+    est = (np.linalg.pinv(s) @ tomogram.data.ravel()).reshape(
+        tomogram.dim ** 2, tomogram.dim ** 2)
+    return 0.5 * (est + est.conj().T)
+
+
+class TestFactoredInversionMatchesDense:
+    @pytest.mark.parametrize("n_qubits", [1, 2])
+    @pytest.mark.parametrize("gamma", [1.0, 0.7, 0.5, 0.3, 0.1])
+    def test_matches_oracle(self, n_qubits, gamma, rng):
+        ens = pauli_ensemble(n_qubits)
+        process = random_process(2 ** n_qubits, 3, rng)
+        tomogram = synthesize(process, ens.probes, ens.measurements, 1e-2,
+                              rng)
+        if gamma < 1:
+            tomogram = subsample(tomogram, gamma, rng)
+        oracle = _dense_oracle(tomogram)
+        if oracle is None:
+            with pytest.raises(InformationIncompleteError, match="complete"):
+                linear_inversion(tomogram)
+        else:
+            est = linear_inversion(tomogram)
+            assert np.abs(est.mat - oracle).max() <= 1e-12
 
 
 class TestProjectCp:
