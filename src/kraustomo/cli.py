@@ -99,7 +99,9 @@ def cmd_reconstruct(args):
             "config": cfg.to_dict(),
             "kraus": [data.complex_to_json(k) for k in est.blocks],
             "trace": {"loss": trace.loss, "tp_defect": trace.tp_defect,
-                      "iter_time_s": trace.iter_time_s},
+                      "iter_time_s": trace.iter_time_s,
+                      "stop_reason": trace.stop_reason,
+                      "n_iters": trace.n_iters},
             "wall_time_s": time.perf_counter() - t0,
         }
         _print_and_store_fidelity(doc, tomogram, kraus_to_choi(est))
@@ -127,13 +129,7 @@ def cmd_reconstruct(args):
 
 
 def _choi_from_file(path):
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise data.SchemaError(f"malformed JSON in {path}: {exc}") from exc
-    if doc.get("schema_version") != data.SCHEMA_VERSION:
-        raise data.SchemaError(f"unsupported schema_version in {path}")
+    doc = data.read_document(path)
     try:
         if doc.get("method") == "gd" or "kraus" in doc:
             blocks = np.array([data.complex_from_json(k) for k in doc["kraus"]])
@@ -141,8 +137,9 @@ def _choi_from_file(path):
         if doc.get("method") == "pls" or "choi" in doc:
             return ChoiMatrix(data.complex_from_json(doc["choi"]))
         if "truth" in doc:
+            truth = data.expect_object(doc["truth"], "truth")
             blocks = np.array([data.complex_from_json(k)
-                               for k in doc["truth"]["kraus"]])
+                               for k in truth["kraus"]])
             return kraus_to_choi(KrausStack(blocks))
     except KeyError as exc:
         raise data.SchemaError(f"missing key {exc} in {path}") from exc

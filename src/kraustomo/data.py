@@ -193,7 +193,7 @@ def _spec_with_matrices(spec, mats):
 
 def materialize_probes(spec, dim):
     """Rebuild explicit probe matrices from a file descriptor."""
-    kind = spec.get("type")
+    kind = expect_object(spec, "a probe/measurement descriptor").get("type")
     idx = spec.get("indices")
     if kind == "explicit":
         return [complex_from_json(m) for m in spec["matrices"]]
@@ -236,22 +236,37 @@ def save(tomogram, path):
         json.dump(doc, fh)
 
 
-def load(path):
-    """Read a tomogram written by :func:`save`."""
+def expect_object(value, what):
+    """Return value if it is a JSON object (dict); SchemaError otherwise."""
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what} must be a JSON object, "
+                          f"got {type(value).__name__}")
+    return value
+
+
+def read_document(path):
+    """Parse a JSON file holding an object with the current schema_version."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"malformed JSON in {path}: {exc}") from exc
+    expect_object(doc, f"the document in {path}")
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise SchemaError(f"unsupported schema_version {version!r} in {path}")
+    return doc
+
+
+def load(path):
+    """Read a tomogram written by :func:`save`."""
+    doc = read_document(path)
     try:
         dim = doc["dim"]
         truth = None
         if "truth" in doc:
-            truth = KrausStack(np.array([complex_from_json(k)
-                                         for k in doc["truth"]["kraus"]]))
+            kraus = expect_object(doc["truth"], "truth")["kraus"]
+            truth = KrausStack(np.array([complex_from_json(k) for k in kraus]))
         return Tomogram(doc["kind"], dim,
                         materialize_probes(doc["probes"], dim),
                         materialize_probes(doc["measurements"], dim),

@@ -4,6 +4,12 @@ The stacked Kraus matrix is updated along the normalized conjugate
 (Wirtinger) gradient of a least-squares + L1 loss, with a Cayley
 retraction in the low-rank Wen-Yin form keeping the stack orthonormal
 (hence the channel trace-preserving) after every step.
+
+One forward pass per iteration: :func:`value_and_grad` computes the
+products K_l rho once and uses them for both the residuals (hence the
+loss) and the gradient.  :func:`loss` and :func:`wirtinger_gradient`
+are its two halves, built on the same residual helper in full-batch and
+per-pair (minibatch) mode.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import KrausStack, channel_expectations, tp_defect
+from .core import KrausStack, tp_defect
 from .data import batches as batch_stream
 from .dv import random_unitary
 
@@ -66,45 +72,34 @@ class FitTrace:
     stop_reason: str = "max_iters"
 
 
-def _batch_arrays(tomogram, batch):
-    """Per-pair (residual-ready) probe/measurement/data arrays for a batch."""
-    idx = np.asarray(batch, dtype=int)
-    if idx.size == 0:
-        return None
-    i, j = idx[:, 0], idx[:, 1]
-    return tomogram.probes[i], tomogram.measurements[j], tomogram.data[i, j]
+def _residual(blocks, tomogram, batch):
+    """The forward model of the fit: residuals and the K_l rho they share.
 
-
-def _pair_left_products(blocks, rho):
-    """K_l rho_p for every block and state: (k, P, N, N)."""
-    return np.matmul(blocks[:, None], rho[None])
-
-
-def _residuals(kraus_blocks, rho, meas, d):
-    """Per-pair residuals d_b - Tr[M_b sum_l K_l rho_b K_l^dag]."""
-    out = np.matmul(_pair_left_products(kraus_blocks, rho),
-                    kraus_blocks.conj().swapaxes(1, 2)[:, None]).sum(axis=0)
-    n = out.shape[-1]
-    pred = np.real(np.sum(out.swapaxes(1, 2).reshape(-1, n * n)
-                          * meas.reshape(-1, n * n), axis=1))
-    return d - pred
-
-
-def loss(kraus, tomogram, batch=None, lam=1e-3):
-    """Squared-residual sum over the batch plus lam * sum of entry moduli.
-
-    batch is an iterable of (i, j) index pairs; None means all entries.
+    Full batch (batch None): r[i, j] = d_ij - Tr[M_j sum_l K_l rho_i K_l^dag]
+    over all probes and measurements.  Otherwise batch holds (i, j) pairs
+    and r[b] is the residual of pair b, with rho_b = rho_i and M_b = M_j.
+    Returns (r, left, meas) with left[l, b] = K_l rho_b, shape (k, B, N, N),
+    and meas the measurements r is taken against; None for an empty batch.
     """
-    value = lam * float(np.sum(np.abs(kraus.blocks)))
     if batch is None:
-        pred = channel_expectations(kraus.blocks, tomogram.probes,
-                                    tomogram.measurements)
-        value += float(np.sum((tomogram.data - pred) ** 2))
-        return value
-    arrays = _batch_arrays(tomogram, batch)
-    if arrays is not None:
-        value += float(np.sum(_residuals(kraus.blocks, *arrays) ** 2))
-    return value
+        rho, meas, d = tomogram.probes, tomogram.measurements, tomogram.data
+    else:
+        idx = np.asarray(batch, dtype=int)
+        if idx.size == 0:
+            return None
+        i, j = idx[:, 0], idx[:, 1]
+        rho, meas = tomogram.probes[i], tomogram.measurements[j]
+        d = tomogram.data[i, j]
+    left = np.matmul(blocks[:, None], rho[None])
+    out = np.matmul(left, blocks.conj().swapaxes(1, 2)[:, None]).sum(axis=0)
+    n = out.shape[-1]
+    out_flat = out.swapaxes(1, 2).reshape(-1, n * n)
+    meas_flat = meas.reshape(-1, n * n)
+    if batch is None:
+        pred = np.real(out_flat @ meas_flat.T)
+    else:
+        pred = np.real(np.sum(out_flat * meas_flat, axis=1))
+    return d - pred, left, meas
 
 
 def _complex_sign(mat):
@@ -115,33 +110,51 @@ def _complex_sign(mat):
     return out
 
 
+def value_and_grad(kraus, tomogram, batch=None, lam=1e-3):
+    """The loss and its conjugate (Wirtinger) gradient from one forward pass.
+
+    The loss is the squared-residual sum over the batch plus lam * sum of
+    entry moduli; batch is an iterable of (i, j) index pairs, None meaning
+    all entries.  Gradient block l is -2 sum_i W_i K_l rho_i + lam *
+    sign(K_l), with W_i = sum_j r_ij M_j (r the residual, sign the
+    elementwise phase, 0 at 0); it reuses the forward pass's K_l rho_i.
+    Returns (float, kN x N array).
+    """
+    blocks = kraus.blocks
+    value = lam * float(np.sum(np.abs(blocks)))
+    grad = lam * _complex_sign(blocks)
+    forward = _residual(blocks, tomogram, batch)
+    if forward is not None:
+        res, left, meas = forward
+        value += float(np.sum(res ** 2))
+        if res.ndim == 2:
+            n = kraus.dim
+            weighted = (res @ meas.reshape(-1, n * n)).reshape(-1, n, n)
+        else:
+            weighted = res[:, None, None] * meas
+        grad -= 2.0 * np.matmul(weighted[None], left).sum(axis=1)
+    return value, grad.reshape(-1, kraus.dim)
+
+
+def loss(kraus, tomogram, batch=None, lam=1e-3):
+    """Squared-residual sum over the batch plus lam * sum of entry moduli.
+
+    batch is an iterable of (i, j) index pairs; None means all entries.
+    """
+    value = lam * float(np.sum(np.abs(kraus.blocks)))
+    forward = _residual(kraus.blocks, tomogram, batch)
+    if forward is not None:
+        value += float(np.sum(forward[0] ** 2))
+    return value
+
+
 def wirtinger_gradient(kraus, tomogram, batch=None, lam=1e-3):
     """Conjugate gradient of the loss w.r.t. the stacked Kraus matrix.
 
-    Block l is -2 sum_(i,j) r_ij M_j K_l rho_i + lam * sign(K_l), with
-    r_ij the residual and sign the elementwise phase (0 at 0).  Returns a
-    kN x N array; validated against central finite differences in tests.
+    The gradient half of :func:`value_and_grad`; a kN x N array,
+    validated against central finite differences in tests.
     """
-    k = kraus.blocks
-    n = kraus.dim
-    grad = lam * _complex_sign(k)
-    if batch is None:
-        pred = channel_expectations(k, tomogram.probes, tomogram.measurements)
-        res = tomogram.data - pred
-        # W_i = sum_j r_ij M_j, then block l -= 2 sum_i W_i K_l rho_i
-        meas_flat = tomogram.measurements.reshape(-1, n * n)
-        weighted = (res @ meas_flat).reshape(-1, n, n)
-        right = _pair_left_products(k, tomogram.probes)      # (k, P, N, N)
-        grad -= 2.0 * np.matmul(weighted[None], right).sum(axis=1)
-    else:
-        arrays = _batch_arrays(tomogram, batch)
-        if arrays is not None:
-            rho, meas, d = arrays
-            res = _residuals(k, rho, meas, d)
-            weighted = res[:, None, None] * meas
-            right = _pair_left_products(k, rho)
-            grad -= 2.0 * np.matmul(weighted[None], right).sum(axis=1)
-    return grad.reshape(-1, n)
+    return value_and_grad(kraus, tomogram, batch, lam)[1]
 
 
 def cayley_step(kraus, grad, eta, *, tp_tol=1e-8, max_halvings=10):
@@ -188,6 +201,13 @@ def fit(tomogram, cfg, init=None):
     (relative change of the full-batch loss below plateau_tol between
     evaluations spaced plateau_window iterations apart).
 
+    Each iteration makes one forward pass (:func:`value_and_grad`) at the
+    current stack: its value is the loss after the previous step, which
+    is recorded and plateau-checked there, and its gradient drives the
+    next step.  One value-only pass closes the trace after the last step.
+    ``trace.loss[t]`` is the loss after step t on the batch of step t + 1
+    (the full loss in full-batch mode).
+
     ``init`` overrides the random starting point; it must be a TP stack
     with cfg.k blocks of the tomogram's dimension.
 
@@ -209,28 +229,36 @@ def fit(tomogram, cfg, init=None):
     stream = None if full_batch else batch_stream(tomogram, cfg.batch_size, rng)
     eta = cfg.eta0
     prev_full = None
-    for it in range(cfg.max_iters):
+    for it in range(cfg.max_iters + 1):
         t0 = time.perf_counter()
         batch = None if full_batch else next(stream)
-        grad = wirtinger_gradient(kraus, tomogram, batch, cfg.lam)
+        last = it == cfg.max_iters
+        if last:
+            value = loss(kraus, tomogram, batch, cfg.lam)
+        else:
+            value, grad = value_and_grad(kraus, tomogram, batch, cfg.lam)
+        if it:
+            # value is the loss after the step taken in iteration it - 1
+            trace.loss.append(value)
+            if it % cfg.plateau_window == 0:
+                full = (value if full_batch
+                        else loss(kraus, tomogram, None, cfg.lam))
+                trace.full_loss.append((it, full))
+                if prev_full is not None:
+                    rel = abs(prev_full - full) / max(abs(full), 1e-300)
+                    if rel < cfg.plateau_tol:
+                        trace.stop_reason = "plateau"
+                        break
+                prev_full = full
+        if last:
+            break
         gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.grad_norm_floor:
             trace.stop_reason = "gradient_floor"
             break
         kraus = cayley_step(kraus, grad / gnorm, eta)
-        trace.loss.append(loss(kraus, tomogram, batch, cfg.lam))
         trace.tp_defect.append(tp_defect(kraus))
         trace.iter_time_s.append(time.perf_counter() - t0)
         trace.n_iters = it + 1
         eta *= cfg.decay
-        if (it + 1) % cfg.plateau_window == 0:
-            full = (trace.loss[-1] if full_batch
-                    else loss(kraus, tomogram, None, cfg.lam))
-            trace.full_loss.append((it + 1, full))
-            if prev_full is not None:
-                rel = abs(prev_full - full) / max(abs(full), 1e-300)
-                if rel < cfg.plateau_tol:
-                    trace.stop_reason = "plateau"
-                    break
-            prev_full = full
     return kraus, trace

@@ -24,6 +24,8 @@ from kraustomo.gd import (GdConfig, cayley_step, fit, init_kraus, loss,
 from kraustomo.pls import (InformationIncompleteError, fit_pls,
                            linear_inversion, project_cp, project_tp)
 
+pytestmark = pytest.mark.slow
+
 REPORT_LINES = []
 
 N_SEEDS = 30

@@ -94,6 +94,8 @@ class TestReconstruct:
         assert doc["method"] == "gd"
         assert len(doc["kraus"]) == 2
         assert len(doc["trace"]["loss"]) == 50
+        assert doc["trace"]["stop_reason"] == "max_iters"
+        assert doc["trace"]["n_iters"] == 50
         assert 0.0 <= doc["fidelity"] <= 1.0
 
     def test_pls_round_trip(self, dv_dataset, tmp_path, capsys):
@@ -130,6 +132,22 @@ class TestReconstruct:
                      str(dv_dataset)])
         assert code == EXIT_USAGE
         assert "dim" in capsys.readouterr().err
+
+    def test_non_object_data_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        code = main(["reconstruct", "--method", "pls", "--data", str(bad)])
+        assert code == EXIT_USAGE
+        assert "JSON object" in capsys.readouterr().err
+
+    def test_probes_list_exits_2(self, dv_dataset, capsys):
+        doc = json.loads(dv_dataset.read_text())
+        doc["probes"] = [1, 2]
+        dv_dataset.write_text(json.dumps(doc))
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--iters", "1"])
+        assert code == EXIT_USAGE
+        assert "JSON object" in capsys.readouterr().err
 
     def test_pls_three_qubits(self, tmp_path, capsys):
         data_path = tmp_path / "dv3.json"
@@ -182,6 +200,13 @@ class TestFidelity:
         dv_dataset.write_text(json.dumps(doc))
         code = main(["fidelity", str(dv_dataset), str(dv_dataset)])
         assert code == EXIT_USAGE
+
+    def test_non_object_file_exits_2(self, dv_dataset, tmp_path, capsys):
+        bad = tmp_path / "list.json"
+        bad.write_text("[1, 2]")
+        code = main(["fidelity", str(dv_dataset), str(bad)])
+        assert code == EXIT_USAGE
+        assert "JSON object" in capsys.readouterr().err
 
     def test_payload_without_kraus_or_choi(self, tmp_path, capsys):
         bad = tmp_path / "empty.json"

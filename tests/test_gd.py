@@ -5,7 +5,7 @@ from kraustomo.core import KrausStack, tp_defect
 from kraustomo.data import synthesize
 from kraustomo.dv import pauli_ensemble, random_process
 from kraustomo.gd import (FitTrace, GdConfig, cayley_step, fit, init_kraus,
-                          loss, wirtinger_gradient)
+                          loss, value_and_grad, wirtinger_gradient)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +147,21 @@ class TestWirtingerGradient:
         assert np.abs(a - b).max() <= 1e-10
 
 
+class TestValueAndGrad:
+    @pytest.mark.parametrize("batch", [None, [(0, 0), (2, 3), (5, 5), (2, 3)],
+                                       []])
+    def test_matches_loss_and_gradient(self, ensemble, rng, batch):
+        process = random_process(2, 2, rng)
+        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
+                              1e-2, rng)
+        est = init_kraus(3, 2, rng)
+        value, grad = value_and_grad(est, tomogram, batch, 1e-3)
+        assert value == pytest.approx(loss(est, tomogram, batch, 1e-3),
+                                      abs=1e-12)
+        assert np.abs(grad - wirtinger_gradient(est, tomogram, batch,
+                                                1e-3)).max() <= 1e-12
+
+
 class TestCayleyStep:
     def test_zero_step_is_identity(self, rng):
         est = init_kraus(2, 3, rng)
@@ -267,3 +282,95 @@ class TestFit:
         est, _ = fit(tomogram, cfg)
         fid = process_fidelity(kraus_to_choi(process), kraus_to_choi(est))
         assert fid.fidelity > 0.99
+
+
+def _golden_tomogram():
+    rng = np.random.default_rng(12345)
+    process = random_process(2, 2, rng)
+    ens = pauli_ensemble(1)
+    return synthesize(process, ens.probes, ens.measurements, 1e-2, rng)
+
+
+class TestFitStops:
+    """Stop decisions and traces, pinned to the two-pass fit they replace."""
+
+    def test_full_batch_trace_ends_with_final_loss(self):
+        tomogram = _golden_tomogram()
+        est, trace = fit(tomogram, GdConfig(k=2, max_iters=30, seed=1))
+        assert trace.loss[-1] == loss(est, tomogram, None, 1e-3)
+        assert trace.full_loss[-1] == (20, trace.loss[19])
+
+    def test_plateau(self):
+        tomogram = _golden_tomogram()
+        _, trace = fit(tomogram, GdConfig(k=2, max_iters=400, seed=1,
+                                          plateau_tol=1e-2))
+        assert trace.stop_reason == "plateau"
+        assert trace.n_iters == 100
+        assert len(trace.loss) == len(trace.tp_defect) == 100
+        assert [it for it, _ in trace.full_loss] == [20, 40, 60, 80, 100]
+        assert trace.full_loss[-1][1] == trace.loss[-1]
+
+    def test_plateau_on_the_last_iteration(self):
+        # The plateau check after the final step runs in the closing
+        # value-only pass.
+        tomogram = _golden_tomogram()
+        _, trace = fit(tomogram, GdConfig(k=2, max_iters=100, seed=1,
+                                          plateau_tol=1e-2))
+        assert trace.stop_reason == "plateau"
+        assert trace.n_iters == 100
+        assert len(trace.loss) == 100
+        assert [it for it, _ in trace.full_loss] == [20, 40, 60, 80, 100]
+
+    def test_gradient_floor(self):
+        tomogram = _golden_tomogram()
+        _, trace = fit(tomogram, GdConfig(k=2, max_iters=200, seed=1,
+                                          grad_norm_floor=0.05))
+        assert trace.stop_reason == "gradient_floor"
+        assert trace.n_iters == 26
+        assert len(trace.loss) == len(trace.tp_defect) == 26
+        assert [it for it, _ in trace.full_loss] == [20]
+
+    def test_one_forward_pass_per_iteration(self, monkeypatch):
+        import kraustomo.gd as gd_module
+        calls = {"value_and_grad": 0, "loss": 0}
+
+        def counting(name):
+            original = getattr(gd_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+        for name in calls:
+            monkeypatch.setattr(gd_module, name, counting(name))
+        fit(_golden_tomogram(), GdConfig(k=2, max_iters=30, seed=1))
+        assert calls == {"value_and_grad": 30, "loss": 1}
+
+    def test_no_iterations(self):
+        tomogram = _golden_tomogram()
+        _, trace = fit(tomogram, GdConfig(k=2, max_iters=0, seed=1))
+        assert trace.n_iters == 0
+        assert trace.loss == [] and trace.full_loss == []
+        assert trace.stop_reason == "max_iters"
+
+    def test_golden_full_batch_fit(self):
+        # Values of the fit that ran the forward model separately for the
+        # loss and for the gradient.
+        tomogram = _golden_tomogram()
+        est, trace = fit(tomogram, GdConfig(k=2, max_iters=30, seed=1))
+        assert trace.n_iters == 30 and trace.stop_reason == "max_iters"
+        assert np.allclose(trace.loss[:3], [2.1328106467751597,
+                                            1.610249280890246,
+                                            1.1208119421616547],
+                           rtol=0, atol=1e-12)
+        assert trace.loss[-1] == pytest.approx(0.01877169333753221, abs=1e-12)
+        expected = np.array([
+            [[0.3943131509333254 - 0.5273764372334925j,
+              -0.30568368354473274 + 0.13052825185103756j],
+             [0.289612177039176 - 0.16369447808230603j,
+              0.6573322130103929 + 0.0048737562236325915j]],
+            [[0.538651360428933 - 0.14174846787812584j,
+              0.0856508113509069 - 0.3714790629458855j],
+             [-0.1488166972350432 - 0.3511919868024446j,
+              0.5567454270322031 + 0.04595914608515332j]]])
+        assert np.abs(est.blocks - expected).max() <= 1e-12
