@@ -8,6 +8,7 @@ sweep-value index.  Rows go to CSV; per-point mean/std summaries to JSON.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import time
@@ -16,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import ChoiMatrix, kraus_to_choi, process_fidelity
-from .data import subsample, synthesize
-from .dv import PAULI_LABELS, pauli_ensemble, pauli_projector, random_process
+from .data import SchemaError, expect_object, subsample, synthesize
+from .dv import pauli_projectors, random_process
 from .gd import GdConfig, fit
 from .pls import InformationIncompleteError, PlsConfig, fit_pls, project_cp
 
@@ -50,8 +51,11 @@ class SweepSpec:
     @classmethod
     def from_json(cls, path):
         with open(path) as fh:
-            doc = json.load(fh)
-        return cls(**doc)
+            doc = expect_object(json.load(fh), f"the spec in {path}")
+        try:
+            return cls(**doc)
+        except TypeError as exc:  # unknown or missing keys
+            raise SchemaError(f"bad sweep spec in {path}: {exc}") from exc
 
 
 def _gd_config(spec, k, seed, **extra):
@@ -63,15 +67,15 @@ def _infidelity(truth_choi, est_choi):
     return process_fidelity(truth_choi, est_choi).infidelity
 
 
-_ENSEMBLES = {}
-
-
+@functools.cache
 def _ensemble(n):
-    if n not in _ENSEMBLES:
-        ens = pauli_ensemble(n)
-        _ENSEMBLES[n] = (np.array([p.mat for p in ens.probes]),
-                         np.array(ens.measurements))
-    return _ENSEMBLES[n]
+    """The full Pauli set, the sweep's probes and measurements alike.
+
+    Read-only, since every cell of the process shares the cached stack.
+    """
+    ops = pauli_projectors(n)
+    ops.flags.writeable = False
+    return ops
 
 
 def _row(value, seed, method, k, infid, iters, wall, error=""):
@@ -108,21 +112,21 @@ def _reconstruct_rows(spec, value, seed, tomogram, truth_choi):
 
 
 def _noise_cell(spec, idx, eps, seed):
-    probes, meas = _ensemble(spec.n_qubits)
+    ops = _ensemble(spec.n_qubits)
     process = random_process(2 ** spec.n_qubits, spec.rank,
                              np.random.default_rng([seed, 1000]))
-    tomogram = synthesize(process, probes, meas, eps,
+    tomogram = synthesize(process, ops, ops, eps,
                           np.random.default_rng([seed, 2000 + idx]),
                           kind="dv", seed=seed)
     return _reconstruct_rows(spec, eps, seed, tomogram, kraus_to_choi(process))
 
 
 def _gamma_cell(spec, idx, gamma, seed):
-    probes, meas = _ensemble(spec.n_qubits)
+    ops = _ensemble(spec.n_qubits)
     process = random_process(2 ** spec.n_qubits, spec.rank,
                              np.random.default_rng([seed, 1000]))
     # One noisy dataset per seed, shared across the gamma grid.
-    tomogram = synthesize(process, probes, meas, spec.noise,
+    tomogram = synthesize(process, ops, ops, spec.noise,
                           np.random.default_rng([seed, 2000]),
                           kind="dv", seed=seed)
     sub = subsample(tomogram, gamma, np.random.default_rng([seed, 3000 + idx]))
@@ -131,13 +135,10 @@ def _gamma_cell(spec, idx, gamma, seed):
 
 def _timing_cell(spec, idx, n, seed):
     rng = np.random.default_rng([seed, 4000 + idx])
-    dim = 2 ** n
     total = 6 ** n
-    m = min(total, _TIMING_SUBSET)
-    labels = [np.unravel_index(i, (6,) * n)
-              for i in rng.choice(total, m, replace=False)]
-    ops = [pauli_projector([PAULI_LABELS[q] for q in lab]) for lab in labels]
-    process = random_process(dim, 3, rng)
+    ops = pauli_projectors(n, rng.choice(total, min(total, _TIMING_SUBSET),
+                                         replace=False))
+    process = random_process(2 ** n, 3, rng)
     tomogram = synthesize(process, ops, ops, spec.noise, rng, kind="dv",
                           seed=seed)
     k = spec.kraus[0] if spec.kraus else 3

@@ -1,14 +1,14 @@
 """Command-line front end: synth, reconstruct, fidelity, benchmark.
 
-Exit codes: 0 success, 2 usage error, 3 method/data incompatibility,
-4 numerical failure.  The QPT_SEED environment variable overrides --seed.
+Exit codes: 0 success, 2 usage error (including an unreadable or
+unwritable file and an input too large for memory), 3 method/data
+incompatibility, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -21,11 +21,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_NUMERICAL = 4
-
-
-def _seed(args):
-    env = os.environ.get("QPT_SEED")
-    return int(env) if env else args.seed
 
 
 def _parse_grid(text):
@@ -42,31 +37,28 @@ def _parse_phases(text):
 
 
 def cmd_synth(args):
-    seed = _seed(args)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     if args.kind == "dv":
-        ens = dv.pauli_ensemble(args.qubits)
-        process = dv.random_process(ens.dim, args.rank, rng)
-        tomogram = data.synthesize(
-            process, ens.probes, ens.measurements, args.noise, rng,
-            kind="dv", seed=seed,
-            probe_spec={"type": "pauli", "n_qubits": args.qubits},
-            meas_spec={"type": "pauli", "n_qubits": args.qubits})
+        dim = 2 ** args.qubits
+        probe_spec = meas_spec = {"type": "pauli", "n_qubits": args.qubits}
     else:
         if args.process != "snap-displace":
             raise argparse.ArgumentTypeError(
                 f"unknown CV process {args.process!r}")
-        phases = _parse_phases(args.theta) if args.theta else cv.DEFAULT_PHASES
-        process = cv.snap_displace_process(args.alpha, phases, args.dim)
+        dim = args.dim
         probe_grid = args.probe_grid or cv.probe_grid()
         meas_grid = args.meas_grid or cv.measurement_grid()
-        probes = [cv.coherent_state(a, args.dim) for a in probe_grid.points]
-        meas = [cv.displaced_parity(b, args.dim) for b in meas_grid.points]
-        tomogram = data.synthesize(
-            process, probes, meas, args.noise, rng, kind="cv", seed=seed,
-            probe_spec={"type": "coherent_grid", "grid": probe_grid.to_dict()},
-            meas_spec={"type": "displaced_parity_grid",
-                       "grid": meas_grid.to_dict()})
+        probe_spec = {"type": "coherent_grid", "grid": probe_grid.to_dict()}
+        meas_spec = {"type": "displaced_parity_grid",
+                     "grid": meas_grid.to_dict()}
+    # Built (and validated) before the target, whose cost grows with dim.
+    probes = data.materialize_probes(probe_spec, dim)
+    meas = data.materialize_probes(meas_spec, dim)
+    process = (dv.random_process(dim, args.rank, rng) if args.kind == "dv"
+               else cv.snap_displace_process(args.alpha, args.theta, dim))
+    tomogram = data.synthesize(process, probes, meas, args.noise, rng,
+                               kind=args.kind, seed=args.seed,
+                               probe_spec=probe_spec, meas_spec=meas_spec)
     if args.gamma is not None:
         tomogram = data.subsample(tomogram, args.gamma, rng)
     data.save(tomogram, args.out)
@@ -91,7 +83,7 @@ def cmd_reconstruct(args):
     if args.method == "gd":
         cfg = gd.GdConfig(k=args.kraus, eta0=args.lr, decay=args.decay,
                           lam=args.l1, max_iters=args.iters,
-                          batch_size=args.batch, seed=_seed(args))
+                          batch_size=args.batch, seed=args.seed)
         est, trace = gd.fit(tomogram, cfg)
         doc = {
             "schema_version": data.SCHEMA_VERSION,
@@ -175,7 +167,8 @@ def build_parser():
     p.add_argument("--dim", type=int, default=cv.DEFAULT_CUTOFF)
     p.add_argument("--process", default="snap-displace")
     p.add_argument("--alpha", type=float, default=cv.DEFAULT_ALPHA)
-    p.add_argument("--theta", help="comma-separated SNAP phases")
+    p.add_argument("--theta", type=_parse_phases, default=cv.DEFAULT_PHASES,
+                   help="comma-separated SNAP phases")
     p.add_argument("--probe-grid", type=_parse_grid)
     p.add_argument("--meas-grid", type=_parse_grid)
     p.add_argument("--noise", type=float, default=0.0)
@@ -221,12 +214,14 @@ def main(argv=None):
     except pls.InformationIncompleteError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    except (argparse.ArgumentTypeError, data.SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # Before ValueError, of which LinAlgError is a subclass.
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (argparse.ArgumentTypeError, ValueError, OSError,
+            MemoryError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

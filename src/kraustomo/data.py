@@ -40,6 +40,8 @@ def complex_from_json(obj):
 
 
 def _stack_states(states):
+    if isinstance(states, np.ndarray):  # already a stack: no copy
+        return np.ascontiguousarray(states, dtype=complex)
     mats = [s.mat if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
             for s in states]
     return np.ascontiguousarray(mats)
@@ -184,35 +186,51 @@ def predict_from_choi(s, choi):
 
 
 def _spec_with_matrices(spec, mats):
-    if spec.get("type", "explicit") == "explicit" or spec.get("embed", False):
-        spec = dict(spec)
-        spec["type"] = spec.get("type", "explicit")
-        spec["matrices"] = [complex_to_json(m) for m in mats]
-    return spec
+    if spec.get("type", "explicit") != "explicit":
+        return spec
+    return {**spec, "type": "explicit", "matrices": complex_to_json(mats)}
+
+
+def _indices(spec, size):
+    """The descriptor's optional indices, each checked to be in [0, size)."""
+    idx = spec.get("indices")
+    if idx is not None and not (isinstance(idx, list) and all(
+            isinstance(i, int) and 0 <= i < size for i in idx)):
+        raise SchemaError(f"indices must be a list of integers in [0, {size})")
+    return idx
 
 
 def materialize_probes(spec, dim):
-    """Rebuild explicit probe matrices from a file descriptor."""
+    """The stacked (P, N, N) operators of an explicit, pauli, coherent_grid
+    or displaced_parity_grid descriptor.
+
+    The one place a descriptor is validated: a malformed field, an index
+    out of range, 2**n_qubits != dim or an unknown type is a SchemaError.
+    """
     kind = expect_object(spec, "a probe/measurement descriptor").get("type")
-    idx = spec.get("indices")
-    if kind == "explicit":
-        return [complex_from_json(m) for m in spec["matrices"]]
-    if kind == "pauli":
-        labels = list(itertools.product(dv.PAULI_LABELS,
-                                        repeat=spec["n_qubits"]))
-        if idx is not None:
-            labels = [labels[i] for i in idx]
-        return [dv.pauli_projector(lab) for lab in labels]
-    if kind == "coherent_grid":
-        pts = cv.CvGrid.from_dict(spec["grid"]).points
-        if idx is not None:
-            pts = pts[idx]
-        return [cv.coherent_state(a, dim).mat for a in pts]
-    if kind == "displaced_parity_grid":
-        pts = cv.CvGrid.from_dict(spec["grid"]).points
-        if idx is not None:
-            pts = pts[idx]
-        return [cv.displaced_parity(b, dim) for b in pts]
+    try:
+        if kind == "explicit":
+            mats = complex_from_json(spec["matrices"])
+            if mats.shape[1:] != (dim, dim):
+                raise SchemaError(f"matrices of shape {mats.shape}, dim {dim}")
+            return mats
+        if kind == "pauli":
+            n = spec["n_qubits"]
+            # bit_length first, so 2**n is never formed for a huge n.
+            if not (isinstance(n, int) and n == int(dim).bit_length() - 1
+                    and 2 ** n == dim):
+                raise SchemaError(f"n_qubits {n!r} does not match dim {dim}")
+            return dv.pauli_projectors(n, _indices(spec, 6 ** n))
+        if kind in ("coherent_grid", "displaced_parity_grid"):
+            pts = cv.CvGrid.from_dict(spec["grid"]).points
+            idx = _indices(spec, len(pts))
+            if idx is not None:
+                pts = pts[idx]
+            if kind == "coherent_grid":
+                return np.array([cv.coherent_state(a, dim).mat for a in pts])
+            return np.array([cv.displaced_parity(b, dim) for b in pts])
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise SchemaError(f"malformed {kind} descriptor: {exc}") from exc
     raise SchemaError(f"unknown probe/measurement descriptor: {kind!r}")
 
 
@@ -263,6 +281,8 @@ def load(path):
     doc = read_document(path)
     try:
         dim = doc["dim"]
+        if not isinstance(dim, int) or dim < 1:
+            raise SchemaError(f"dim must be a positive integer, got {dim!r}")
         truth = None
         if "truth" in doc:
             kraus = expect_object(doc["truth"], "truth")["kraus"]

@@ -7,15 +7,13 @@ eigenstate projectors, ordered lexicographically over the per-qubit labels
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .core import DensityMatrix, KrausStack
 
 PAULI_LABELS = ("x+", "x-", "y+", "y-", "z+", "z-")
 
-# Memory guard for explicit ensembles: 2 * 6^n * 4^n * 16 bytes.
+# Memory guard for a stack of Pauli projectors: P * 4^n * 16 bytes.
 _MAX_ENSEMBLE_BYTES = 2 << 30
 
 _KETS = {
@@ -42,6 +40,11 @@ class PauliEnsemble:
         return 2 ** self.n_qubits
 
 
+def pauli_label(index, n):
+    """The per-qubit label tuple of entry index in the lexicographic 6^n order."""
+    return tuple(PAULI_LABELS[d] for d in np.unravel_index(index, (6,) * n))
+
+
 def pauli_projector(labels):
     """Tensor product of single-qubit eigenstate projectors for a label tuple."""
     ket = np.array([1.0 + 0j])
@@ -50,23 +53,32 @@ def pauli_projector(labels):
     return np.outer(ket, ket.conj())
 
 
-def pauli_ensemble(n):
-    """Build the full 6^n probe and measurement sets for n qubits.
+def pauli_projectors(n, indices=None):
+    """Stacked (P, 2^n, 2^n) projectors for indices into the 6^n label order.
 
-    Raises MemoryError (with the offending size) instead of attempting an
-    allocation that cannot fit in memory.
+    indices default to all.  Labels are decoded per index, so the 6^n list
+    is never built; a stack too large for memory (counted on the selected
+    entries) raises MemoryError instead.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    nbytes = 2 * 6 ** n * 4 ** n * 16
-    if nbytes > _MAX_ENSEMBLE_BYTES:
+    count = 6 ** n if indices is None else len(indices)
+    if count * 4 ** n * 16 > _MAX_ENSEMBLE_BYTES:
         raise MemoryError(
-            f"explicit Pauli ensemble for n={n} needs ~{nbytes / 2**30:.1f} GiB; "
-            f"use pauli_projector on a subset of labels instead")
-    labels = list(itertools.product(PAULI_LABELS, repeat=n))
-    projectors = [pauli_projector(lab) for lab in labels]
-    probes = [DensityMatrix(p) for p in projectors]
-    return PauliEnsemble(n, probes, [p.copy() for p in projectors], labels)
+            f"the selected Pauli projectors for n={n} need more than "
+            f"{_MAX_ENSEMBLE_BYTES >> 30} GiB; select fewer indices")
+    out = np.empty((count, 2 ** n, 2 ** n), dtype=complex)
+    for p, i in enumerate(range(count) if indices is None else indices):
+        out[p] = pauli_projector(pauli_label(i, n))
+    return out
+
+
+def pauli_ensemble(n):
+    """The full 6^n probe and measurement sets for n qubits (n <= 5)."""
+    projectors = pauli_projectors(n)
+    return PauliEnsemble(n, [DensityMatrix(p) for p in projectors],
+                         list(projectors.copy()),
+                         [pauli_label(i, n) for i in range(6 ** n)])
 
 
 def random_unitary(dim, rng):

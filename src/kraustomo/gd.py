@@ -50,6 +50,13 @@ class GdConfig:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
         if self.lam < 0:
             raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if self.max_iters < 0:
+            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.plateau_window < 1:
+            raise ValueError(
+                f"plateau_window must be >= 1, got {self.plateau_window}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def to_dict(self):
         return {"k": self.k, "eta0": self.eta0, "decay": self.decay,

@@ -104,6 +104,8 @@ def cp_violation(choi):
 def project_cptp(choi, cfg=None):
     """Project onto the CPTP set with Dykstra's alternating projections.
 
+    Only the CP step needs a correction term: the TP set is affine, and
+    project_tp discards the X (x) I terms a TP correction would add.
     Stops when the Frobenius change per cycle drops below dykstra_tol;
     past dykstra_max_iters the best iterate is returned flagged
     non-converged.
@@ -111,14 +113,12 @@ def project_cptp(choi, cfg=None):
     cfg = cfg or PlsConfig()
     x = ChoiMatrix(0.5 * (choi.mat + choi.mat.conj().T))
     p = np.zeros_like(x.mat)
-    q = np.zeros_like(x.mat)
     cycles = 0
     converged = False
     for cycles in range(1, cfg.dykstra_max_iters + 1):
         y = project_cp(ChoiMatrix(x.mat + p))
         p = x.mat + p - y.mat
-        x_new = project_tp(ChoiMatrix(y.mat + q))
-        q = y.mat + q - x_new.mat
+        x_new = project_tp(y)
         delta = float(np.linalg.norm(x_new.mat - x.mat))
         x = x_new
         if delta < cfg.dykstra_tol:

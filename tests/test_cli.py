@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from kraustomo.cli import (EXIT_INCOMPATIBLE, EXIT_OK, EXIT_USAGE, main)
+from kraustomo.cli import (EXIT_INCOMPATIBLE, EXIT_NUMERICAL, EXIT_OK,
+                           EXIT_USAGE, main)
 from kraustomo.core import ChoiMatrix
+from kraustomo.cv import DEFAULT_ALPHA, snap_displace_process
 from kraustomo.data import complex_from_json, load
 from kraustomo.pls import cp_violation, tp_violation
 
@@ -70,15 +72,39 @@ class TestSynth:
                   "--out", str(tmp_path / "x.json")])
         assert exc.value.code == EXIT_USAGE
 
+    def test_theta_phases(self, tmp_path, capsys):
+        out = tmp_path / "cv.json"
+        args = ["synth", "--kind", "cv", "--dim", "6",
+                "--probe-grid=-1,1,-1,1,2,2", "--meas-grid=-1,1,-1,1,2,2"]
+        assert main(args + ["--theta", "0.5,-0.5", "--out", str(out)]) == 0
+        expected = snap_displace_process(DEFAULT_ALPHA, [0.5, -0.5], 6)
+        assert np.array_equal(load(out).truth.blocks, expected.blocks)
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--theta", "0.5,x", "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
+        # QPT_SEED is not read: --seed alone decides the output.
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         monkeypatch.setenv("QPT_SEED", "99")
         main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "2",
               "--seed", "0", "--out", str(a)])
         monkeypatch.delenv("QPT_SEED")
         main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "2",
-              "--seed", "99", "--out", str(b)])
-        assert np.array_equal(load(a).data, load(b).data)
+              "--seed", "0", "--out", str(b)])
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_too_many_qubits_exits_2(self, tmp_path, capsys):
+        code = main(["synth", "--kind", "dv", "--qubits", "6",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert "GiB" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
+        code = main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "1",
+                     "--out", str(tmp_path / "nowhere" / "x.json")])
+        assert code == EXIT_USAGE
+        assert "nowhere" in capsys.readouterr().err
 
 
 class TestReconstruct:
@@ -148,6 +174,50 @@ class TestReconstruct:
                      str(dv_dataset), "--iters", "1"])
         assert code == EXIT_USAGE
         assert "JSON object" in capsys.readouterr().err
+
+    def test_missing_data_file_exits_2(self, tmp_path, capsys):
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(tmp_path / "absent.json")])
+        assert code == EXIT_USAGE
+        assert "absent.json" in capsys.readouterr().err
+
+    def test_out_in_missing_directory_exits_2(self, dv_dataset, tmp_path,
+                                              capsys):
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--iters", "1",
+                     "--out", str(tmp_path / "nowhere" / "est.json")])
+        assert code == EXIT_USAGE
+
+    def test_negative_iterations_exit_2(self, dv_dataset, capsys):
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--iters", "-3"])
+        assert code == EXIT_USAGE
+        assert "max_iters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("probes", [
+        {"type": "pauli", "n_qubits": 11},
+        {"type": "pauli", "n_qubits": 1, "indices": [6]},
+        {"type": "pauli", "n_qubits": "1"},
+        {"type": "pauli", "n_qubits": 2},
+        {"type": "coherent_grid", "grid": {"rows": 3}},
+    ])
+    def test_crafted_descriptor_exits_2(self, dv_dataset, capsys, probes):
+        doc = json.loads(dv_dataset.read_text())
+        doc["probes"] = probes
+        dv_dataset.write_text(json.dumps(doc))
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--iters", "1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_nan_data_is_numerical_failure(self, dv_dataset, capsys):
+        doc = json.loads(dv_dataset.read_text())
+        doc["data"][0][0] = float("nan")
+        dv_dataset.write_text(json.dumps(doc))
+        code = main(["reconstruct", "--method", "pls", "--data",
+                     str(dv_dataset)])
+        assert code == EXIT_NUMERICAL
 
     def test_pls_three_qubits(self, tmp_path, capsys):
         data_path = tmp_path / "dv3.json"
@@ -229,3 +299,24 @@ class TestBenchmarkCommand:
         assert code == EXIT_OK
         assert "0 failed cells" in capsys.readouterr().out
         assert csv_path.exists() and json_path.exists()
+
+    @pytest.mark.parametrize("doc, match", [
+        ([1, 2], "JSON object"),
+        ({"sweep": "noise", "values": [1], "seeds": [0], "colour": 1},
+         "colour"),
+    ])
+    def test_bad_spec_exits_2(self, tmp_path, capsys, doc, match):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        code = main(["benchmark", "--spec", str(spec), "--out-csv",
+                     str(tmp_path / "r.csv"), "--out-json",
+                     str(tmp_path / "s.json")])
+        assert code == EXIT_USAGE
+        assert match in capsys.readouterr().err
+
+    def test_missing_spec_exits_2(self, tmp_path, capsys):
+        code = main(["benchmark", "--spec", str(tmp_path / "absent.json"),
+                     "--out-csv", str(tmp_path / "r.csv"),
+                     "--out-json", str(tmp_path / "s.json")])
+        assert code == EXIT_USAGE
+        assert "absent.json" in capsys.readouterr().err

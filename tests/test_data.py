@@ -1,14 +1,19 @@
+import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
 
+from kraustomo import data as data_module
+from kraustomo.cli import main
 from kraustomo.core import KrausStack, kraus_to_choi
+from kraustomo.cv import CvGrid, coherent_state, displaced_parity
 from kraustomo.data import (SchemaError, Tomogram, batches, complex_from_json,
                             complex_to_json, export_csv, expectations, load,
-                            predict_from_choi, save, sensing_matrix,
-                            subsample, synthesize)
-from kraustomo.dv import pauli_ensemble, random_process
+                            materialize_probes, predict_from_choi, save,
+                            sensing_matrix, subsample, synthesize)
+from kraustomo.dv import pauli_ensemble, pauli_projector, random_process
 
 
 @pytest.fixture(scope="module")
@@ -204,6 +209,117 @@ class TestSaveLoad:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="descriptor"):
             load(path)
+
+
+class TestMaterializeProbes:
+    def test_pauli_matches_ensemble_order(self, ensemble):
+        ops = materialize_probes({"type": "pauli", "n_qubits": 2}, 4)
+        assert ops.shape == (36, 4, 4)
+        assert np.array_equal(ops, np.array(ensemble.measurements))
+
+    def test_pauli_indices_decode_labels(self):
+        ops = materialize_probes({"type": "pauli", "n_qubits": 3,
+                                  "indices": [0, 215, 43]}, 8)
+        # 43 = 1*36 + 1*6 + 1 in base 6: (x-, x-, x-).
+        for op, lab in zip(ops, [("x+",) * 3, ("z-",) * 3, ("x-",) * 3]):
+            assert np.array_equal(op, pauli_projector(lab))
+
+    def test_grids_match_cv_builders(self):
+        grid = CvGrid(-1, 1, -1, 1, 2, 3)
+        pts = grid.points
+        coh = materialize_probes({"type": "coherent_grid",
+                                  "grid": grid.to_dict(), "indices": [4, 1]}, 6)
+        par = materialize_probes({"type": "displaced_parity_grid",
+                                  "grid": grid.to_dict()}, 6)
+        assert np.array_equal(coh, [coherent_state(pts[4], 6).mat,
+                                    coherent_state(pts[1], 6).mat])
+        assert np.array_equal(par, [displaced_parity(b, 6) for b in pts])
+
+    def test_explicit_shape_checked(self):
+        mats = complex_to_json(np.eye(2)[None])
+        assert materialize_probes({"type": "explicit", "matrices": mats},
+                                  2).shape == (1, 2, 2)
+        with pytest.raises(SchemaError, match="dim 3"):
+            materialize_probes({"type": "explicit", "matrices": mats}, 3)
+
+    @pytest.mark.parametrize("spec, match", [
+        ({"type": "pauli", "n_qubits": 2, "indices": [36]}, "indices"),
+        ({"type": "pauli", "n_qubits": 2, "indices": [-1]}, "indices"),
+        ({"type": "pauli", "n_qubits": 2, "indices": [1.0]}, "indices"),
+        ({"type": "pauli", "n_qubits": 2, "indices": 3}, "indices"),
+        ({"type": "pauli", "n_qubits": "2"}, "n_qubits"),
+        ({"type": "pauli", "n_qubits": 2.0}, "n_qubits"),
+        ({"type": "pauli", "n_qubits": True}, "n_qubits"),
+        ({"type": "pauli", "n_qubits": 0}, "n_qubits"),
+        ({"type": "pauli", "n_qubits": 3}, "does not match"),
+        ({"type": "pauli", "n_qubits": 10 ** 30}, "does not match"),
+        ({"type": "pauli"}, "n_qubits"),
+        ({"type": "coherent_grid", "grid": {"rows": 2}}, "grid"),
+        ({"type": "coherent_grid", "grid": [1, 2]}, "grid"),
+        ({"type": "coherent_grid",
+          "grid": CvGrid(-1, 1, -1, 1, 2, 2).to_dict(), "indices": [4]},
+         "indices"),
+        ({"type": "explicit", "matrices": [[1, 2]]}, "explicit"),
+        ({"type": "mystery"}, "descriptor"),
+        ({}, "descriptor"),
+    ])
+    def test_malformed_descriptor(self, spec, match):
+        with pytest.raises(SchemaError, match=match):
+            materialize_probes(spec, 4)
+
+    def test_memory_guard_lists_no_labels(self):
+        t0 = time.perf_counter()
+        with pytest.raises(MemoryError, match="GiB"):
+            materialize_probes({"type": "pauli", "n_qubits": 11}, 2 ** 11)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_selected_entries_pass_the_guard(self):
+        ops = materialize_probes({"type": "pauli", "n_qubits": 6,
+                                  "indices": list(range(0, 6 ** 6, 997))}, 64)
+        assert ops.shape == (47, 64, 64)
+
+
+def _synth(tmp_path, name, *args):
+    path = tmp_path / name
+    assert main(["synth", *args, "--out", str(path)]) == 0
+    return path
+
+
+class TestSynthLoadRoundTrip:
+    """qpt synth and data.load build operators through the same builder."""
+
+    @pytest.mark.parametrize("args", [
+        ("--kind", "dv", "--qubits", "2", "--rank", "4", "--noise", "1e-2"),
+        ("--kind", "dv", "--qubits", "2", "--rank", "4", "--gamma", "0.3"),
+        ("--kind", "cv", "--dim", "6", "--probe-grid=-1,1,-1,1,3,3",
+         "--meas-grid=-1,1,-1,1,2,4", "--noise", "1e-2"),
+        ("--kind", "cv", "--dim", "6", "--probe-grid=-1,1,-1,1,3,3",
+         "--meas-grid=-1,1,-1,1,2,4", "--gamma", "0.5"),
+    ])
+    def test_load_reproduces_synthesized_arrays(self, tmp_path, monkeypatch,
+                                                args):
+        written = []
+        monkeypatch.setattr(data_module, "save", lambda tomo, path: (
+            written.append(tomo), save(tomo, path)))
+        back = load(_synth(tmp_path, "d.json", *args))
+        (tomo,) = written
+        assert np.array_equal(back.probes, tomo.probes)
+        assert np.array_equal(back.measurements, tomo.measurements)
+        assert np.array_equal(back.data, tomo.data)
+
+    # SHA-256 of the little-endian float64 data matrix, computed with the
+    # ensembles built separately in qpt synth (before the single builder).
+    @pytest.mark.parametrize("args, digest", [
+        (("--kind", "dv", "--qubits", "2", "--rank", "16", "--noise", "1e-2",
+          "--seed", "3"),
+         "f1e2e6882961ff961a081e5407b51c4274a65c30377bdf04741c0e9d72dc306b"),
+        (("--kind", "cv", "--dim", "8", "--seed", "5"),
+         "87f0b17a381d12a9fadd10673118e481e14a15e48be625376394766f598f0590"),
+    ])
+    def test_golden_data(self, tmp_path, args, digest):
+        path = _synth(tmp_path, "g.json", *args)
+        data = np.asarray(json.loads(path.read_text())["data"], "<f8")
+        assert hashlib.sha256(data.tobytes()).hexdigest() == digest
 
 
 class TestExportCsv:

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from kraustomo.core import apply_kraus, tp_defect
-from kraustomo.dv import (PAULI_LABELS, pauli_ensemble, pauli_projector,
-                          random_process, random_unitary)
+from kraustomo.dv import (PAULI_LABELS, pauli_ensemble, pauli_label,
+                          pauli_projector, pauli_projectors, random_process,
+                          random_unitary)
 
 
 class TestPauliProjector:
@@ -69,6 +72,28 @@ class TestPauliEnsemble:
     def test_memory_guard(self):
         with pytest.raises(MemoryError, match="GiB"):
             pauli_ensemble(12)
+
+
+class TestPauliProjectors:
+    def test_labels_decode_lexicographic_order(self):
+        for n in (1, 2, 3):
+            expected = list(itertools.product(PAULI_LABELS, repeat=n))
+            assert [pauli_label(i, n) for i in range(6 ** n)] == expected
+
+    def test_full_stack_matches_ensemble(self):
+        ens = pauli_ensemble(2)
+        ops = pauli_projectors(2)
+        assert ops.shape == (36, 4, 4)
+        assert np.array_equal(ops, [p.mat for p in ens.probes])
+
+    def test_indices_select_in_given_order(self):
+        ops = pauli_projectors(2, [35, 0, 7])
+        assert np.array_equal(ops, pauli_projectors(2)[[35, 0, 7]])
+
+    def test_guard_counts_selected_entries(self):
+        with pytest.raises(MemoryError, match="GiB"):
+            pauli_projectors(6)
+        assert pauli_projectors(6, range(64)).shape == (64, 64, 64)
 
 
 class TestRandomUnitary:

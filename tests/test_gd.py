@@ -37,7 +37,9 @@ class TestGdConfig:
 
     @pytest.mark.parametrize("kwargs", [{"k": 0}, {"eta0": 0.0},
                                         {"decay": 0.0}, {"decay": 1.5},
-                                        {"lam": -1.0}])
+                                        {"lam": -1.0}, {"max_iters": -1},
+                                        {"plateau_window": 0},
+                                        {"batch_size": 0}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             GdConfig(**kwargs)

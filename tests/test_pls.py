@@ -156,6 +156,46 @@ class TestProjectCptp:
         assert after < before
 
 
+def _dykstra_with_tp_correction(choi, cfg):
+    """The projection with a Dykstra correction on the TP step as well."""
+    x = ChoiMatrix(0.5 * (choi.mat + choi.mat.conj().T))
+    p = np.zeros_like(x.mat)
+    q = np.zeros_like(x.mat)
+    cycles, converged = 0, False
+    for cycles in range(1, cfg.dykstra_max_iters + 1):
+        y = project_cp(ChoiMatrix(x.mat + p))
+        p = x.mat + p - y.mat
+        x_new = project_tp(ChoiMatrix(y.mat + q))
+        q = y.mat + q - x_new.mat
+        delta = float(np.linalg.norm(x_new.mat - x.mat))
+        x = x_new
+        if delta < cfg.dykstra_tol:
+            converged = True
+            break
+    return x, cycles, converged
+
+
+class TestTpCorrectionIsDead:
+    """The TP correction only adds terms X (x) I, which project_tp drops."""
+
+    @pytest.mark.parametrize("n_qubits", [1, 2, 3])
+    @pytest.mark.parametrize("noise", [1e-1, 1e-2, 1e-3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_corrected_loop(self, n_qubits, noise, seed):
+        rng = np.random.default_rng([seed, n_qubits])
+        dim = 2 ** n_qubits
+        truth = kraus_to_choi(random_process(dim, rng.integers(1, dim * dim),
+                                             rng)).mat
+        herm = (rng.normal(size=truth.shape)
+                + 1j * rng.normal(size=truth.shape))
+        noisy = ChoiMatrix(truth + noise * (herm + herm.conj().T))
+        cfg = PlsConfig()
+        result = project_cptp(noisy, cfg)
+        oracle, cycles, converged = _dykstra_with_tp_correction(noisy, cfg)
+        assert np.abs(result.choi.mat - oracle.mat).max() <= 1e-12
+        assert (result.cycles, result.converged) == (cycles, converged)
+
+
 class TestFitPls:
     def test_noiseless_high_fidelity(self, ensemble, rng):
         process = random_process(4, 3, rng)
