@@ -79,6 +79,10 @@ def _print_and_store_fidelity(doc, tomogram, est_choi):
 
 def cmd_reconstruct(args):
     tomogram = data.load(args.data)
+    if args.out:
+        # An unwritable --out fails here, not after the fit; append mode
+        # leaves an existing file as it is until the result replaces it.
+        open(args.out, "a").close()
     t0 = time.perf_counter()
     if args.method == "gd":
         cfg = gd.GdConfig(k=args.kraus, eta0=args.lr, decay=args.decay,

@@ -1,4 +1,4 @@
-"""Quantum channel representations and the process-fidelity metric.
+"""Quantum channel representations, the forward model and process fidelity.
 
 Conventions used throughout the package:
 
@@ -8,6 +8,13 @@ Conventions used throughout the package:
   |K> = (I (x) K) sum_i |i>|i>, i.e. |K>[i*N + m] = K[m, i].
 
 Tolerances are module constants; every check accepts an override.
+
+The forward model: every state stack is factored once, rho_i = A_i S_i
+A_i^dag (:func:`factor_states`; R = 1 for the pure Pauli and coherent
+probes), and expectations Tr[M_j sum_l K_l rho_i K_l^dag] are computed
+from phi_li = K_l A_i (:func:`factored_expectations`), as is their
+gradient (:func:`factored_pullback`).  Synthesis, the GD loss and the
+GD gradient all run on it.
 """
 
 from __future__ import annotations
@@ -122,22 +129,95 @@ class ProcessMetric:
         return f"ProcessMetric(fidelity={self.fidelity:.6f})"
 
 
-def channel_outputs(blocks, states):
-    """Apply sum_l K_l rho K_l^dag to a stack of states; (P, N, N) result.
+def factor_states(states):
+    """Factor a (P, N, N) stack of Hermitian states as rho_i = A_i S_i A_i^dag.
 
-    Hot path for synthesis and fitting; uses batched BLAS matmuls.
+    One batched eigh.  A_i (N x R) holds the eigenvectors scaled by
+    sqrt|w| and S_i = diag(s_i) their signs.  Eigenvalues at or below
+    NumPy's matrix_rank cut, max|w| * N * eps, are dropped; R is the
+    largest remaining rank, and a state of lower rank is padded with zero
+    columns of sign 0.  A pure state has R = 1; mixed or indefinite states
+    keep R <= N and stay exact.  Returns (amps (P, N, R), signs (P, R)).
+    A state that is not Hermitian raises ValueError.
     """
-    left = np.matmul(blocks[:, None], states[None])          # (k, P, N, N)
-    return np.matmul(left, blocks.conj().swapaxes(1, 2)[:, None]).sum(axis=0)
+    states = np.asarray(states)
+    herm = np.max(np.abs(states - states.conj().swapaxes(-1, -2)), initial=0.0)
+    if herm > EXACT_TOL:
+        raise ValueError(f"states must be Hermitian: max |rho - rho^dag| "
+                         f"= {herm:.3e}")
+    w, v = np.linalg.eigh(states)
+    mag = np.abs(w)
+    n = states.shape[-1]
+    keep = mag > mag.max(axis=-1, keepdims=True) * n * np.finfo(float).eps
+    rank = max(int(keep.sum(axis=-1).max(initial=0)), 1)
+    order = np.argsort(mag, axis=-1)[:, n - rank:]
+    w = np.take_along_axis(w, order, axis=-1)
+    keep = np.take_along_axis(keep, order, axis=-1)
+    amps = (np.take_along_axis(v, order[:, None, :], axis=-1)
+            * np.sqrt(np.abs(w) * keep)[:, None, :])
+    return amps, np.where(keep, np.sign(w), 0.0)
+
+
+def factored_expectations(blocks, factors, observables, paired=False):
+    """The package's one forward model, on factored states.
+
+    With (A_i, S_i) = factors and phi_li = K_l A_i, the output state is
+    sum_l phi_li S_i phi_li^dag and e[i, j] = Tr[M_j sum_l phi_li S_i
+    phi_li^dag], over every state i and observable j, a (P, Q) array.
+    When paired, state b goes with observable b only and e is (B,).
+    observables must be a C-contiguous complex stack.  No N^3 product per
+    state is formed.  Returns (e, phi), phi[i] = [phi_1i ... phi_ki] of
+    shape (P, N, k * R), which :func:`factored_pullback` reuses.
+    """
+    amps, signs = factors
+    k, n = blocks.shape[0], blocks.shape[-1]
+    p, r = amps.shape[0], amps.shape[-1]
+    cols = amps.transpose(1, 0, 2).reshape(n, p * r)
+    phi = (blocks.reshape(k * n, n) @ cols).reshape(k, n, p, r)
+    phi = phi.transpose(2, 1, 0, 3)                  # (P, N, k, R)
+    signed = (phi * signs[:, None, None, :]).reshape(p, n, k * r)
+    phi = phi.reshape(p, n, k * r)
+    out = np.matmul(signed, phi.conj().swapaxes(1, 2))
+    # Re Tr[M sigma] = sum_ab Re(sigma_ab) Re(M_ab) + Im(sigma_ab) Im(M_ab)
+    # for Hermitian sigma: a real dot product of the [re, im] views.
+    out_ri = out.reshape(p, -1).view(float)
+    obs_ri = observables.reshape(len(observables), -1).view(float)
+    if paired:
+        return np.einsum("bm,bm->b", out_ri, obs_ri), phi
+    return out_ri @ obs_ri.T, phi
+
+
+def factored_pullback(phi, factors, observables, coeffs, paired=False):
+    """Conjugate derivative of sum c * e w.r.t. each K_l, for Hermitian M_j.
+
+    Block l is sum_i W_i K_l rho_i = sum_i (W_i phi_li) S_i A_i^dag, with
+    W_i = sum_j c_ij M_j (c of shape (P, Q)), or W_b = c_b M_b when
+    paired (c of shape (B,)); phi is the second return value of
+    :func:`factored_expectations` on the same factors and observables.
+    Returns a (k, N, N) array.
+    """
+    amps, signs = factors
+    p, n, kr = phi.shape
+    r = amps.shape[-1]
+    k = kr // r
+    if paired:
+        weights = coeffs[:, None, None] * observables
+    else:
+        obs_ri = observables.reshape(len(observables), -1).view(float)
+        weights = (coeffs @ obs_ri).view(complex).reshape(p, n, n)
+    wphi = np.matmul(weights, phi).reshape(p, n, k, r)
+    wphi = wphi.transpose(2, 1, 0, 3).reshape(k * n, p * r)
+    cols = (amps * signs[:, None, :]).transpose(1, 0, 2).reshape(n, p * r)
+    return (wphi @ cols.conj().T).reshape(k, n, n)
 
 
 def channel_expectations(blocks, states, observables):
-    """Real expectation matrix e[i, j] = Tr[M_j sum_l K_l rho_i K_l^dag]."""
-    out = channel_outputs(blocks, states)
-    p, n = out.shape[0], out.shape[1]
-    obs_flat = observables.reshape(observables.shape[0], n * n)
-    out_flat = out.swapaxes(1, 2).reshape(p, n * n)
-    return np.real(out_flat @ obs_flat.T)
+    """Real expectation matrix e[i, j] = Tr[M_j sum_l K_l rho_i K_l^dag].
+
+    Factors the states and runs :func:`factored_expectations`.
+    """
+    return factored_expectations(blocks, factor_states(states),
+                                 _as_complex(observables))[0]
 
 
 def apply_kraus(kraus, rho):
@@ -150,7 +230,8 @@ def apply_kraus(kraus, rho):
     if kraus.dim != mat.shape[0]:
         raise ValueError(f"dimension mismatch: Kraus dim {kraus.dim}, "
                          f"state dim {mat.shape[0]}")
-    return channel_outputs(kraus.blocks, mat[None])[0]
+    k = kraus.blocks
+    return np.matmul(k @ mat, k.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def kraus_to_choi(kraus):

@@ -87,13 +87,16 @@ def displacement(alpha, dim):
     return (v * np.exp(-1j * w)) @ v.conj().T
 
 
-def coherent_state(alpha, dim):
-    """The coherent state |alpha><alpha| = D(alpha)|0><0|D(alpha)^dag.
-
-    Renormalized to unit trace to absorb the (tiny) truncation loss.
-    """
+def coherent_ket(alpha, dim):
+    """The coherent ket |alpha> = D(alpha)|0>, renormalized to unit norm
+    to absorb the (tiny) truncation loss."""
     ket = displacement(alpha, dim)[:, 0]
-    ket = ket / np.linalg.norm(ket)
+    return ket / np.linalg.norm(ket)
+
+
+def coherent_state(alpha, dim):
+    """The coherent state |alpha><alpha| = D(alpha)|0><0|D(alpha)^dag."""
+    ket = coherent_ket(alpha, dim)
     return DensityMatrix(np.outer(ket, ket.conj()))
 
 

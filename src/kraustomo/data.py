@@ -14,13 +14,19 @@ import json
 
 import numpy as np
 
-from .core import DensityMatrix, KrausStack, channel_expectations
+from .core import (DensityMatrix, KrausStack, channel_expectations,
+                   factor_states, factored_expectations)
 from . import cv, dv
 
 SCHEMA_VERSION = 1
 
 # Guard for the (P*Q) x N^4 sensing matrix.
 _MAX_SENSING_BYTES = 4 << 30
+# Guard for a phase-space grid stack: its P N x N complex matrices plus the
+# 8 N x N complex work arrays of building one displacement (6 counted by
+# tracemalloc, 2 for LAPACK's eigh workspace); the 2 GiB of dv's Pauli guard.
+_MAX_GRID_BYTES = 2 << 30
+_GRID_WORK_ARRAYS = 8
 
 
 class SchemaError(ValueError):
@@ -48,10 +54,17 @@ def _stack_states(states):
 
 
 class Tomogram:
-    """Probes, measurements, data matrix, and metadata for one experiment."""
+    """Probes, measurements, data matrix, and metadata for one experiment.
+
+    ``probes`` is the dense (P, N, N) stack, which PLS and file I/O read;
+    ``probe_factors`` is its factorization (:func:`core.factor_states`),
+    which the forward model reads.  It is computed here unless the caller
+    already holds it (synthesis, subsampling); probes must be Hermitian.
+    """
 
     def __init__(self, kind, dim, probes, measurements, data, noise_sigma,
-                 seed=None, probe_spec=None, meas_spec=None, truth=None):
+                 seed=None, probe_spec=None, meas_spec=None, truth=None,
+                 probe_factors=None):
         self.kind = kind
         self.dim = int(dim)
         self.probes = _stack_states(probes)
@@ -68,6 +81,8 @@ class Tomogram:
         self.probe_spec = probe_spec or {"type": "explicit"}
         self.meas_spec = meas_spec or {"type": "explicit"}
         self.truth = truth
+        self.probe_factors = (factor_states(self.probes)
+                              if probe_factors is None else probe_factors)
 
     @property
     def num_probes(self):
@@ -84,9 +99,8 @@ class Tomogram:
 
 def expectations(process, probes, measurements):
     """Noiseless data matrix: d[i, j] = Tr[M_j sum_l K_l rho_i K_l^dag]."""
-    rho = _stack_states(probes)
-    meas = _stack_states(measurements)
-    return channel_expectations(process.blocks, rho, meas)
+    return channel_expectations(process.blocks, _stack_states(probes),
+                                _stack_states(measurements))
 
 
 def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
@@ -95,16 +109,20 @@ def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
     """Simulate a tomography experiment with i.i.d. Gaussian noise.
 
     Noise eta ~ N(0, noise_sigma) is added to every entry; values are not
-    clipped to the physical range of the observables.
+    clipped to the physical range of the observables.  The probes are
+    factored once, for the data and for the returned tomogram.
     """
-    data = expectations(process, probes, measurements)
+    rho, meas = _stack_states(probes), _stack_states(measurements)
+    factors = factor_states(rho)
+    data = factored_expectations(process.blocks, factors, meas)[0]
     if noise_sigma > 0:
         if rng is None:
             raise ValueError("rng is required when noise_sigma > 0")
         data = data + rng.normal(0.0, noise_sigma, data.shape)
-    return Tomogram(kind, process.dim, probes, measurements, data,
+    return Tomogram(kind, process.dim, rho, meas, data,
                     noise_sigma, seed=seed, probe_spec=probe_spec,
-                    meas_spec=meas_spec, truth=process if keep_truth else None)
+                    meas_spec=meas_spec, truth=process if keep_truth else None,
+                    probe_factors=factors)
 
 
 def _subsample_spec(spec, indices):
@@ -131,13 +149,14 @@ def subsample(tomogram, gamma, rng):
                          f"measurement selection")
     pi = np.sort(rng.choice(tomogram.num_probes, n_p, replace=False))
     mi = np.sort(rng.choice(tomogram.num_measurements, n_m, replace=False))
+    amps, signs = tomogram.probe_factors
     return Tomogram(tomogram.kind, tomogram.dim,
                     tomogram.probes[pi], tomogram.measurements[mi],
                     tomogram.data[np.ix_(pi, mi)], tomogram.noise_sigma,
                     seed=tomogram.seed,
                     probe_spec=_subsample_spec(tomogram.probe_spec, pi),
                     meas_spec=_subsample_spec(tomogram.meas_spec, mi),
-                    truth=tomogram.truth)
+                    truth=tomogram.truth, probe_factors=(amps[pi], signs[pi]))
 
 
 def batches(tomogram, batch_size, rng):
@@ -205,7 +224,8 @@ def materialize_probes(spec, dim):
     or displaced_parity_grid descriptor.
 
     The one place a descriptor is validated: a malformed field, an index
-    out of range, 2**n_qubits != dim or an unknown type is a SchemaError.
+    out of range, 2**n_qubits != dim or an unknown type is a SchemaError,
+    and a stack too large to build in memory a MemoryError.
     """
     kind = expect_object(spec, "a probe/measurement descriptor").get("type")
     try:
@@ -226,8 +246,13 @@ def materialize_probes(spec, dim):
             idx = _indices(spec, len(pts))
             if idx is not None:
                 pts = pts[idx]
+            if (len(pts) + _GRID_WORK_ARRAYS) * dim ** 2 * 16 > _MAX_GRID_BYTES:
+                raise MemoryError(
+                    f"a {kind} of {len(pts)} points at dim {dim} needs more "
+                    f"than {_MAX_GRID_BYTES >> 30} GiB")
             if kind == "coherent_grid":
-                return np.array([cv.coherent_state(a, dim).mat for a in pts])
+                kets = np.array([cv.coherent_ket(a, dim) for a in pts])
+                return kets[:, :, None] * kets[:, None, :].conj()
             return np.array([cv.displaced_parity(b, dim) for b in pts])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed {kind} descriptor: {exc}") from exc

@@ -5,11 +5,14 @@ The stacked Kraus matrix is updated along the normalized conjugate
 retraction in the low-rank Wen-Yin form keeping the stack orthonormal
 (hence the channel trace-preserving) after every step.
 
-One forward pass per iteration: :func:`value_and_grad` computes the
-products K_l rho once and uses them for both the residuals (hence the
-loss) and the gradient.  :func:`loss` and :func:`wirtinger_gradient`
-are its two halves, built on the same residual helper in full-batch and
-per-pair (minibatch) mode.
+One forward pass per iteration: :func:`value_and_grad` runs the
+package's forward model (:func:`core.factored_expectations`) once, on
+the probe factors rho_i = A_i S_i A_i^dag the tomogram holds, and its
+products phi_li = K_l A_i serve both the residuals (hence the loss) and
+the gradient (:func:`core.factored_pullback`); no N^3 product per probe
+is formed.  :func:`loss` and :func:`wirtinger_gradient` are its two
+halves, built on the same residual helper in full-batch and per-pair
+(minibatch) mode.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import KrausStack, tp_defect
+from .core import (KrausStack, factored_expectations, factored_pullback,
+                   tp_defect)
 from .data import batches as batch_stream
 from .dv import random_unitary
 
@@ -80,33 +84,26 @@ class FitTrace:
 
 
 def _residual(blocks, tomogram, batch):
-    """The forward model of the fit: residuals and the K_l rho they share.
+    """The fit's residuals from the forward model, and what they share.
 
     Full batch (batch None): r[i, j] = d_ij - Tr[M_j sum_l K_l rho_i K_l^dag]
     over all probes and measurements.  Otherwise batch holds (i, j) pairs
     and r[b] is the residual of pair b, with rho_b = rho_i and M_b = M_j.
-    Returns (r, left, meas) with left[l, b] = K_l rho_b, shape (k, B, N, N),
-    and meas the measurements r is taken against; None for an empty batch.
+    Returns (r, phi, factors, meas): the forward model's phi and the probe
+    factors and measurements r is taken against, as
+    :func:`core.factored_pullback` takes them; None for an empty batch.
     """
-    if batch is None:
-        rho, meas, d = tomogram.probes, tomogram.measurements, tomogram.data
-    else:
+    factors, meas, d = (tomogram.probe_factors, tomogram.measurements,
+                        tomogram.data)
+    if batch is not None:
         idx = np.asarray(batch, dtype=int)
         if idx.size == 0:
             return None
         i, j = idx[:, 0], idx[:, 1]
-        rho, meas = tomogram.probes[i], tomogram.measurements[j]
-        d = tomogram.data[i, j]
-    left = np.matmul(blocks[:, None], rho[None])
-    out = np.matmul(left, blocks.conj().swapaxes(1, 2)[:, None]).sum(axis=0)
-    n = out.shape[-1]
-    out_flat = out.swapaxes(1, 2).reshape(-1, n * n)
-    meas_flat = meas.reshape(-1, n * n)
-    if batch is None:
-        pred = np.real(out_flat @ meas_flat.T)
-    else:
-        pred = np.real(np.sum(out_flat * meas_flat, axis=1))
-    return d - pred, left, meas
+        factors = (factors[0][i], factors[1][i])
+        meas, d = meas[j], d[i, j]
+    pred, phi = factored_expectations(blocks, factors, meas, batch is not None)
+    return d - pred, phi, factors, meas
 
 
 def _complex_sign(mat):
@@ -124,7 +121,7 @@ def value_and_grad(kraus, tomogram, batch=None, lam=1e-3):
     entry moduli; batch is an iterable of (i, j) index pairs, None meaning
     all entries.  Gradient block l is -2 sum_i W_i K_l rho_i + lam *
     sign(K_l), with W_i = sum_j r_ij M_j (r the residual, sign the
-    elementwise phase, 0 at 0); it reuses the forward pass's K_l rho_i.
+    elementwise phase, 0 at 0); it reuses the forward pass's K_l A_i.
     Returns (float, kN x N array).
     """
     blocks = kraus.blocks
@@ -132,14 +129,10 @@ def value_and_grad(kraus, tomogram, batch=None, lam=1e-3):
     grad = lam * _complex_sign(blocks)
     forward = _residual(blocks, tomogram, batch)
     if forward is not None:
-        res, left, meas = forward
+        res, phi, factors, meas = forward
         value += float(np.sum(res ** 2))
-        if res.ndim == 2:
-            n = kraus.dim
-            weighted = (res @ meas.reshape(-1, n * n)).reshape(-1, n, n)
-        else:
-            weighted = res[:, None, None] * meas
-        grad -= 2.0 * np.matmul(weighted[None], left).sum(axis=1)
+        grad -= 2.0 * factored_pullback(phi, factors, meas, res,
+                                        batch is not None)
     return value, grad.reshape(-1, kraus.dim)
 
 
@@ -164,17 +157,26 @@ def wirtinger_gradient(kraus, tomogram, batch=None, lam=1e-3):
     return value_and_grad(kraus, tomogram, batch, lam)[1]
 
 
-def cayley_step(kraus, grad, eta, *, tp_tol=1e-8, max_halvings=10):
+_TP_TOL = 1e-8
+
+
+def cayley_step(kraus, grad, eta, *, tp_tol=_TP_TOL, max_halvings=10):
     """One Cayley-retraction update K' = K - eta A (I + eta/2 B^dag A)^-1 B^dag K.
 
     A = [G K] and B = [K -G] (kN x 2N), the Sherman-Morrison-Woodbury form
     of the Cayley transform; the result stays orthonormal.  A singular
-    inner system triggers step halving, up to max_halvings times.
+    inner system triggers step halving, up to max_halvings times.  A
+    stack with tp_defect above tp_tol is rejected.
     """
-    stack = kraus.stacked
-    n = kraus.dim
     if tp_defect(kraus) > tp_tol:
         raise ValueError("cayley_step requires an orthonormal (TP) stack")
+    return _cayley(kraus, grad, eta, max_halvings)
+
+
+def _cayley(kraus, grad, eta, max_halvings=10):
+    """:func:`cayley_step` without the TP guard, for a stack known to be TP."""
+    stack = kraus.stacked
+    n = kraus.dim
     grad = np.asarray(grad)
     if grad.shape != stack.shape:
         raise ValueError(f"gradient shape {grad.shape} != stack {stack.shape}")
@@ -216,7 +218,9 @@ def fit(tomogram, cfg, init=None):
     (the full loss in full-batch mode).
 
     ``init`` overrides the random starting point; it must be a TP stack
-    with cfg.k blocks of the tomogram's dimension.
+    with cfg.k blocks of the tomogram's dimension.  The TP defect recorded
+    after each step is the check the next step relies on: above 1e-8 the
+    fit raises ValueError, as :func:`cayley_step` does.
 
     Returns (KrausStack, FitTrace).
     """
@@ -263,8 +267,12 @@ def fit(tomogram, cfg, init=None):
         if gnorm < cfg.grad_norm_floor:
             trace.stop_reason = "gradient_floor"
             break
-        kraus = cayley_step(kraus, grad / gnorm, eta)
-        trace.tp_defect.append(tp_defect(kraus))
+        kraus = _cayley(kraus, grad / gnorm, eta)
+        defect = tp_defect(kraus)
+        if defect > _TP_TOL:
+            raise ValueError(f"step {it} left the orthonormal (TP) manifold: "
+                             f"tp_defect {defect:.3e}")
+        trace.tp_defect.append(defect)
         trace.iter_time_s.append(time.perf_counter() - t0)
         trace.n_iters = it + 1
         eta *= cfg.decay

@@ -1,8 +1,10 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
+from kraustomo import gd, pls
 from kraustomo.cli import (EXIT_INCOMPATIBLE, EXIT_NUMERICAL, EXIT_OK,
                            EXIT_USAGE, main)
 from kraustomo.core import ChoiMatrix
@@ -106,6 +108,15 @@ class TestSynth:
         assert code == EXIT_USAGE
         assert "nowhere" in capsys.readouterr().err
 
+    def test_huge_cv_cutoff_exits_2(self, tmp_path, capsys):
+        t0 = time.perf_counter()
+        code = main(["synth", "--kind", "cv", "--dim", "20000",
+                     "--out", str(tmp_path / "x.json")])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "GiB" in err and len(err.splitlines()) == 1
+
 
 class TestReconstruct:
     def test_gd_round_trip(self, dv_dataset, tmp_path, capsys):
@@ -187,6 +198,34 @@ class TestReconstruct:
                      str(dv_dataset), "--iters", "1",
                      "--out", str(tmp_path / "nowhere" / "est.json")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("method, fit_name", [("gd", "fit"),
+                                                  ("pls", "fit_pls")])
+    def test_bad_out_fails_before_the_fit(self, dv_dataset, tmp_path, capsys,
+                                          monkeypatch, method, fit_name):
+        module = gd if method == "gd" else pls
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran before --out was checked")
+        monkeypatch.setattr(module, fit_name, no_fit)
+        code = main(["reconstruct", "--method", method, "--data",
+                     str(dv_dataset),
+                     "--out", str(tmp_path / "nowhere" / "est.json")])
+        assert code == EXIT_USAGE
+        assert "nowhere" in capsys.readouterr().err
+
+    def test_existing_out_kept_when_the_fit_fails(self, dv_dataset, tmp_path,
+                                                  monkeypatch):
+        out = tmp_path / "est.json"
+        out.write_text("previous")
+
+        def failing_fit(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+        monkeypatch.setattr(gd, "fit", failing_fit)
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert out.read_text() == "previous"
 
     def test_negative_iterations_exit_2(self, dv_dataset, capsys):
         code = main(["reconstruct", "--method", "gd", "--data",

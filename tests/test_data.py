@@ -14,6 +14,7 @@ from kraustomo.data import (SchemaError, Tomogram, batches, complex_from_json,
                             materialize_probes, predict_from_choi, save,
                             sensing_matrix, subsample, synthesize)
 from kraustomo.dv import pauli_ensemble, pauli_projector, random_process
+from dense_oracle import dense_expectations
 
 
 @pytest.fixture(scope="module")
@@ -273,6 +274,15 @@ class TestMaterializeProbes:
             materialize_probes({"type": "pauli", "n_qubits": 11}, 2 ** 11)
         assert time.perf_counter() - t0 < 1.0
 
+    def test_cv_memory_guard_allocates_nothing(self):
+        grid = {"type": "coherent_grid", "grid": CvGrid(0, 0, 0, 0, 1, 1)
+                .to_dict()}
+        t0 = time.perf_counter()
+        for kind in ("coherent_grid", "displaced_parity_grid"):
+            with pytest.raises(MemoryError, match="GiB"):
+                materialize_probes({**grid, "type": kind}, 20000)
+        assert time.perf_counter() - t0 < 1.0
+
     def test_selected_entries_pass_the_guard(self):
         ops = materialize_probes({"type": "pauli", "n_qubits": 6,
                                   "indices": list(range(0, 6 ** 6, 997))}, 64)
@@ -308,18 +318,37 @@ class TestSynthLoadRoundTrip:
         assert np.array_equal(back.data, tomo.data)
 
     # SHA-256 of the little-endian float64 data matrix, computed with the
-    # ensembles built separately in qpt synth (before the single builder).
+    # factored forward model.  The dense model gave f1e2e688... and
+    # 87f0b17a...; test_golden_commands_match_dense_oracle bounds the change.
     @pytest.mark.parametrize("args, digest", [
         (("--kind", "dv", "--qubits", "2", "--rank", "16", "--noise", "1e-2",
           "--seed", "3"),
-         "f1e2e6882961ff961a081e5407b51c4274a65c30377bdf04741c0e9d72dc306b"),
+         "2faa42a6b4e712e8725d2074aa69ff0cc400109129b5970392dfb80a7edc9529"),
         (("--kind", "cv", "--dim", "8", "--seed", "5"),
-         "87f0b17a381d12a9fadd10673118e481e14a15e48be625376394766f598f0590"),
+         "7839bda10db137a37b53ce3785f714804c6755ce26d1058e592c3b2b1c0ad08c"),
     ])
     def test_golden_data(self, tmp_path, args, digest):
         path = _synth(tmp_path, "g.json", *args)
         data = np.asarray(json.loads(path.read_text())["data"], "<f8")
         assert hashlib.sha256(data.tobytes()).hexdigest() == digest
+
+    def test_golden_commands_match_dense_oracle(self, tmp_path):
+        # qpt synth draws the target and then the noise from one seeded rng.
+        tomo = load(_synth(tmp_path, "dv.json", "--kind", "dv", "--qubits",
+                           "2", "--rank", "16", "--noise", "1e-2", "--seed",
+                           "3"))
+        rng = np.random.default_rng(3)
+        process = random_process(4, 16, rng)
+        assert np.array_equal(tomo.truth.blocks, process.blocks)
+        want = dense_expectations(process.blocks, tomo.probes,
+                                  tomo.measurements)
+        want += rng.normal(0.0, 1e-2, want.shape)
+        assert np.abs(tomo.data - want).max() <= 1e-12
+        tomo = load(_synth(tmp_path, "cv.json", "--kind", "cv", "--dim", "8",
+                           "--seed", "5"))
+        want = dense_expectations(tomo.truth.blocks, tomo.probes,
+                                  tomo.measurements)
+        assert np.abs(tomo.data - want).max() <= 1e-12
 
 
 class TestExportCsv:

@@ -348,6 +348,22 @@ class TestFitStops:
         fit(_golden_tomogram(), GdConfig(k=2, max_iters=30, seed=1))
         assert calls == {"value_and_grad": 30, "loss": 1}
 
+    def test_one_tp_defect_per_iteration(self, monkeypatch):
+        import kraustomo.gd as gd_module
+        calls = []
+        original = gd_module.tp_defect
+        monkeypatch.setattr(gd_module, "tp_defect",
+                            lambda kraus: calls.append(1) or original(kraus))
+        _, trace = fit(_golden_tomogram(), GdConfig(k=2, max_iters=30, seed=1))
+        assert len(calls) == trace.n_iters == 30
+
+    def test_step_off_the_manifold_raises(self, monkeypatch):
+        import kraustomo.gd as gd_module
+        monkeypatch.setattr(gd_module, "_cayley", lambda kraus, grad, eta:
+                            KrausStack(1.01 * kraus.blocks))
+        with pytest.raises(ValueError, match="orthonormal"):
+            fit(_golden_tomogram(), GdConfig(k=2, max_iters=5, seed=1))
+
     def test_no_iterations(self):
         tomogram = _golden_tomogram()
         _, trace = fit(tomogram, GdConfig(k=2, max_iters=0, seed=1))
