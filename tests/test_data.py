@@ -320,12 +320,17 @@ class TestSynthLoadRoundTrip:
     # SHA-256 of the little-endian float64 data matrix, computed with the
     # factored forward model.  The dense model gave f1e2e688... and
     # 87f0b17a...; test_golden_commands_match_dense_oracle bounds the change.
+    # The case ids name the dataset, not the digest, so a re-pin keeps them.
     @pytest.mark.parametrize("args, digest", [
-        (("--kind", "dv", "--qubits", "2", "--rank", "16", "--noise", "1e-2",
-          "--seed", "3"),
-         "2faa42a6b4e712e8725d2074aa69ff0cc400109129b5970392dfb80a7edc9529"),
-        (("--kind", "cv", "--dim", "8", "--seed", "5"),
-         "7839bda10db137a37b53ce3785f714804c6755ce26d1058e592c3b2b1c0ad08c"),
+        pytest.param(
+            ("--kind", "dv", "--qubits", "2", "--rank", "16", "--noise",
+             "1e-2", "--seed", "3"),
+            "2faa42a6b4e712e8725d2074aa69ff0cc400109129b5970392dfb80a7edc9529",
+            id="dv2"),
+        pytest.param(
+            ("--kind", "cv", "--dim", "8", "--seed", "5"),
+            "7839bda10db137a37b53ce3785f714804c6755ce26d1058e592c3b2b1c0ad08c",
+            id="cv8"),
     ])
     def test_golden_data(self, tmp_path, args, digest):
         path = _synth(tmp_path, "g.json", *args)
