@@ -37,14 +37,14 @@ def _parse_phases(text):
 
 
 def cmd_synth(args):
+    # Unwritable paths fail before any work, as in cmd_reconstruct.
+    for path in filter(None, (args.out, args.csv)):
+        open(path, "a").close()
     rng = np.random.default_rng(args.seed)
     if args.kind == "dv":
         dim = 2 ** args.qubits
         probe_spec = meas_spec = {"type": "pauli", "n_qubits": args.qubits}
     else:
-        if args.process != "snap-displace":
-            raise argparse.ArgumentTypeError(
-                f"unknown CV process {args.process!r}")
         dim = args.dim
         probe_grid = args.probe_grid or cv.probe_grid()
         meas_grid = args.meas_grid or cv.measurement_grid()
@@ -169,7 +169,6 @@ def build_parser():
     p.add_argument("--qubits", type=int, default=2)
     p.add_argument("--rank", type=int, default=16)
     p.add_argument("--dim", type=int, default=cv.DEFAULT_CUTOFF)
-    p.add_argument("--process", default="snap-displace")
     p.add_argument("--alpha", type=float, default=cv.DEFAULT_ALPHA)
     p.add_argument("--theta", type=_parse_phases, default=cv.DEFAULT_PHASES,
                    help="comma-separated SNAP phases")
@@ -222,8 +221,7 @@ def main(argv=None):
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (argparse.ArgumentTypeError, ValueError, OSError,
-            MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

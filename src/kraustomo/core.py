@@ -7,7 +7,7 @@ Conventions used throughout the package:
   second output.  A Kraus operator K maps to the vector
   |K> = (I (x) K) sum_i |i>|i>, i.e. |K>[i*N + m] = K[m, i].
 
-Tolerances are module constants; every check accepts an override.
+Tolerances are module constants.
 
 The forward model: every state stack is factored once, rho_i = A_i S_i
 A_i^dag (:func:`factor_states`; R = 1 for the pure Pauli and coherent
@@ -34,19 +34,18 @@ def _as_complex(mat):
 class DensityMatrix:
     """An N x N Hermitian, unit-trace, PSD matrix (probe or output state)."""
 
-    def __init__(self, mat, *, herm_tol=EXACT_TOL, trace_tol=EXACT_TOL,
-                 eig_tol=EXACT_TOL):
+    def __init__(self, mat):
         mat = _as_complex(mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got {mat.shape}")
         herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > herm_tol:
+        if herm > EXACT_TOL:
             raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
         tr = mat.trace()
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > EXACT_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
         lo = np.linalg.eigvalsh(mat)[0]
-        if lo < -eig_tol:
+        if lo < -EXACT_TOL:
             raise ValueError(f"negative eigenvalue {lo:.3e}")
         self.mat = mat
 
@@ -94,23 +93,19 @@ class KrausStack:
         """The kN x N matrix obtained by stacking the blocks vertically."""
         return self.blocks.reshape(-1, self.dim)
 
-    def is_tp(self, tol=VALID_TOL):
-        return tp_defect(self) <= tol
+    def is_tp(self):
+        return tp_defect(self) <= VALID_TOL
 
 
 class ChoiMatrix:
     """The N^2 x N^2 Choi representation on H_in (x) H_out."""
 
-    def __init__(self, mat, *, herm_tol=None):
+    def __init__(self, mat):
         mat = _as_complex(mat)
         n2 = mat.shape[0]
         dim = round(np.sqrt(n2))
         if mat.ndim != 2 or mat.shape[1] != n2 or dim * dim != n2:
             raise ValueError(f"Choi matrix must be N^2 x N^2, got {mat.shape}")
-        if herm_tol is not None:
-            herm = np.max(np.abs(mat - mat.conj().T))
-            if herm > herm_tol:
-                raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
         self.mat = mat
         self.dim = dim
 
@@ -268,21 +263,21 @@ def tp_defect(kraus):
     return float(np.linalg.norm(gram - np.eye(kraus.dim)))
 
 
-def _sqrtm_psd(mat, psd_tol):
+def _sqrtm_psd(mat):
     """Square root of a Hermitian PSD matrix via eigendecomposition.
 
-    Eigenvalues in [-psd_tol, 0) are clipped to zero; anything below
-    -psd_tol is an error, not noise.
+    Eigenvalues in [-VALID_TOL, 0) are clipped to zero; anything below
+    -VALID_TOL is an error, not noise.
     """
     w, v = np.linalg.eigh(mat)
-    if w[0] < -psd_tol:
+    if w[0] < -VALID_TOL:
         raise ValueError(f"matrix is not PSD: eigenvalue {w[0]:.3e} "
-                         f"below -{psd_tol:.0e}")
+                         f"below -{VALID_TOL:.0e}")
     w = np.clip(w, 0.0, None)
     return (v * np.sqrt(w)) @ v.conj().T
 
 
-def process_fidelity(choi_a, choi_b, *, psd_tol=VALID_TOL):
+def process_fidelity(choi_a, choi_b):
     """Fidelity F = Tr sqrt(sqrt(A) B sqrt(A)) of trace-normalized Choi matrices.
 
     Both inputs are divided by N (unit trace for TP channels) before the
@@ -293,11 +288,11 @@ def process_fidelity(choi_a, choi_b, *, psd_tol=VALID_TOL):
     n = choi_a.dim
     a = 0.5 * (choi_a.mat + choi_a.mat.conj().T) / n
     b = 0.5 * (choi_b.mat + choi_b.mat.conj().T) / n
-    ra = _sqrtm_psd(a, psd_tol)
+    ra = _sqrtm_psd(a)
     inner = ra @ b @ ra
     inner = 0.5 * (inner + inner.conj().T)
     w = np.linalg.eigvalsh(inner)
-    if w[0] < -psd_tol:
+    if w[0] < -VALID_TOL:
         raise ValueError(f"inner matrix not PSD: eigenvalue {w[0]:.3e}")
     fid = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
     return ProcessMetric(min(max(fid, 0.0), 1.0))

@@ -1,8 +1,12 @@
 """Continuous-variable building blocks in a truncated Fock space.
 
 Operators are constructed directly in the truncated space (dimension N,
-default cutoff 32).  Displacements are accurate while |alpha|^2 << N; a
-warning is emitted past |alpha|^2 > N/4.
+default cutoff 32).  Displacements are accurate while |alpha|^2 << N.
+The displacement builders take one point (one operator) or an array of
+points (the stack, of shape points.shape + the operator's) and run one
+eigh per call, i(a^dag - a) = V diag(w) V^dag, with D(r e^{i phi}) =
+R V e^{-i r w} V^dag R^dag, R = diag(e^{i n phi}); a call warns once if
+its largest |alpha|^2 exceeds N/4.
 """
 
 from __future__ import annotations
@@ -67,11 +71,20 @@ def annihilation(dim):
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), 1).astype(complex)
 
 
-def _warn_truncation(alpha, dim):
-    if abs(alpha) ** 2 > dim / 4:
+def _polar_parts(alpha, dim):
+    """(e, rot, V) with D(alpha) = diag(rot) V diag(e) V^dag diag(rot)^*;
+    e and rot have shape alpha.shape + (N,)."""
+    alpha = np.asarray(alpha, dtype=complex)
+    big = np.max(np.abs(alpha), initial=0.0)
+    if big ** 2 > dim / 4:
         warnings.warn(
-            f"|alpha|^2 = {abs(alpha)**2:.2f} is large for cutoff {dim}; "
+            f"|alpha|^2 = {big**2:.2f} is large for cutoff {dim}; "
             f"truncation errors may be significant", stacklevel=3)
+    a = annihilation(dim)
+    w, v = np.linalg.eigh(1j * (a.conj().T - a))
+    e = np.exp(-1j * np.abs(alpha)[..., None] * w)
+    rot = np.exp(1j * np.angle(alpha)[..., None] * np.arange(dim))
+    return e, rot, v
 
 
 def displacement(alpha, dim):
@@ -80,18 +93,18 @@ def displacement(alpha, dim):
     Computed from the eigendecomposition of the Hermitian generator, so
     the result is exactly unitary in the truncated space.
     """
-    _warn_truncation(alpha, dim)
-    a = annihilation(dim)
-    h = 1j * (alpha * a.conj().T - np.conj(alpha) * a)  # Hermitian
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(-1j * w)) @ v.conj().T
+    e, rot, v = _polar_parts(alpha, dim)
+    d = (v * e[..., None, :]) @ v.conj().T
+    return rot[..., :, None] * d * rot.conj()[..., None, :]
 
 
 def coherent_ket(alpha, dim):
     """The coherent ket |alpha> = D(alpha)|0>, renormalized to unit norm
-    to absorb the (tiny) truncation loss."""
-    ket = displacement(alpha, dim)[:, 0]
-    return ket / np.linalg.norm(ket)
+    to absorb the (tiny) truncation loss; only column 0 of D is formed."""
+    e, rot, v = _polar_parts(alpha, dim)
+    # A row product per point: a ket does not depend on the call's size.
+    ket = rot * ((e * v[0].conj())[..., None, :] @ v.T)[..., 0, :]
+    return ket / np.linalg.norm(ket, axis=-1, keepdims=True)
 
 
 def coherent_state(alpha, dim):
@@ -102,9 +115,10 @@ def coherent_state(alpha, dim):
 
 def displaced_parity(beta, dim):
     """The displaced-parity observable D(beta) (-1)^n D(-beta)."""
-    d = displacement(beta, dim)
+    e, rot, v = _polar_parts(beta, dim)
     parity = (-1.0) ** np.arange(dim)
-    return (d * parity) @ d.conj().T
+    u = rot[..., :, None] * v * e[..., None, :]      # R V E
+    return u @ ((v.conj().T * parity) @ v) @ u.conj().swapaxes(-1, -2)
 
 
 def snap(phases, dim):
@@ -123,6 +137,5 @@ def snap(phases, dim):
 def snap_displace_process(alpha=DEFAULT_ALPHA, phases=DEFAULT_PHASES,
                           dim=DEFAULT_CUTOFF):
     """The unitary target process D(alpha) S(phases) D(-alpha) as a k=1 stack."""
-    d_plus = displacement(alpha, dim)
-    d_minus = displacement(-alpha, dim)
+    d_plus, d_minus = displacement(np.array([alpha, -alpha]), dim)
     return KrausStack((d_plus @ snap(phases, dim) @ d_minus)[None])

@@ -22,11 +22,13 @@ SCHEMA_VERSION = 1
 
 # Guard for the (P*Q) x N^4 sensing matrix.
 _MAX_SENSING_BYTES = 4 << 30
-# Guard for a phase-space grid stack: its P N x N complex matrices plus the
-# 8 N x N complex work arrays of building one displacement (6 counted by
-# tracemalloc, 2 for LAPACK's eigh workspace); the 2 GiB of dv's Pauli guard.
+# Guard for building a phase-space grid of P points, against the 2 GiB of
+# dv's Pauli guard.  Displaced parities hold four (P, N, N) complex stacks at
+# once (tracemalloc: 4.01 P + 1 N x N arrays at N = 256), and the one eigh
+# about six N x N arrays (three counted by tracemalloc, three for LAPACK's
+# copy and workspace); 4 P + 6 <= _GRID_WORK_ARRAYS * (P + 1) N x N arrays.
 _MAX_GRID_BYTES = 2 << 30
-_GRID_WORK_ARRAYS = 8
+_GRID_WORK_ARRAYS = 5
 
 
 class SchemaError(ValueError):
@@ -246,14 +248,15 @@ def materialize_probes(spec, dim):
             idx = _indices(spec, len(pts))
             if idx is not None:
                 pts = pts[idx]
-            if (len(pts) + _GRID_WORK_ARRAYS) * dim ** 2 * 16 > _MAX_GRID_BYTES:
+            if ((len(pts) + 1) * _GRID_WORK_ARRAYS * dim ** 2 * 16
+                    > _MAX_GRID_BYTES):
                 raise MemoryError(
                     f"a {kind} of {len(pts)} points at dim {dim} needs more "
                     f"than {_MAX_GRID_BYTES >> 30} GiB")
             if kind == "coherent_grid":
-                kets = np.array([cv.coherent_ket(a, dim) for a in pts])
+                kets = cv.coherent_ket(pts, dim)
                 return kets[:, :, None] * kets[:, None, :].conj()
-            return np.array([cv.displaced_parity(b, dim) for b in pts])
+            return cv.displaced_parity(pts, dim)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed {kind} descriptor: {exc}") from exc
     raise SchemaError(f"unknown probe/measurement descriptor: {kind!r}")

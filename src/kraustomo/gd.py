@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (KrausStack, factored_expectations, factored_pullback,
-                   tp_defect)
+from .core import (VALID_TOL, KrausStack, factored_expectations,
+                   factored_pullback, tp_defect)
 from .data import batches as batch_stream
 from .dv import random_unitary
 
@@ -157,23 +157,21 @@ def wirtinger_gradient(kraus, tomogram, batch=None, lam=1e-3):
     return value_and_grad(kraus, tomogram, batch, lam)[1]
 
 
-_TP_TOL = 1e-8
-
-
-def cayley_step(kraus, grad, eta, *, tp_tol=_TP_TOL, max_halvings=10):
+def cayley_step(kraus, grad, eta):
     """One Cayley-retraction update K' = K - eta A (I + eta/2 B^dag A)^-1 B^dag K.
 
     A = [G K] and B = [K -G] (kN x 2N), the Sherman-Morrison-Woodbury form
-    of the Cayley transform; the result stays orthonormal.  A singular
-    inner system triggers step halving, up to max_halvings times.  A
-    stack with tp_defect above tp_tol is rejected.
+    of the Cayley transform; the result stays orthonormal.  The inner
+    system is never singular: by Sylvester's identity its determinant is
+    det(I + eta/2 W) with W = G K^dag - K G^dag skew-Hermitian.  A stack
+    that is not TP (:meth:`KrausStack.is_tp`) is rejected.
     """
-    if tp_defect(kraus) > tp_tol:
+    if not kraus.is_tp():
         raise ValueError("cayley_step requires an orthonormal (TP) stack")
-    return _cayley(kraus, grad, eta, max_halvings)
+    return _cayley(kraus, grad, eta)
 
 
-def _cayley(kraus, grad, eta, max_halvings=10):
+def _cayley(kraus, grad, eta):
     """:func:`cayley_step` without the TP guard, for a stack known to be TP."""
     stack = kraus.stacked
     n = kraus.dim
@@ -182,18 +180,9 @@ def _cayley(kraus, grad, eta, max_halvings=10):
         raise ValueError(f"gradient shape {grad.shape} != stack {stack.shape}")
     a = np.hstack([grad, stack])
     b = np.hstack([stack, -grad])
-    bh_a = b.conj().T @ a
-    bh_k = b.conj().T @ stack
-    eye = np.eye(2 * n)
-    for _ in range(max_halvings + 1):
-        try:
-            inner = np.linalg.solve(eye + 0.5 * eta * bh_a, bh_k)
-        except np.linalg.LinAlgError:
-            eta *= 0.5
-            continue
-        return KrausStack.from_stacked(stack - eta * (a @ inner), n)
-    raise np.linalg.LinAlgError(
-        f"Cayley inner system singular after {max_halvings} step halvings")
+    inner = np.linalg.solve(np.eye(2 * n) + 0.5 * eta * (b.conj().T @ a),
+                            b.conj().T @ stack)
+    return KrausStack.from_stacked(stack - eta * (a @ inner), n)
 
 
 def init_kraus(k, dim, rng):
@@ -269,7 +258,7 @@ def fit(tomogram, cfg, init=None):
             break
         kraus = _cayley(kraus, grad / gnorm, eta)
         defect = tp_defect(kraus)
-        if defect > _TP_TOL:
+        if defect > VALID_TOL:
             raise ValueError(f"step {it} left the orthonormal (TP) manifold: "
                              f"tp_defect {defect:.3e}")
         trace.tp_defect.append(defect)

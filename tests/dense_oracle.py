@@ -1,11 +1,15 @@
-"""The dense forward model, kept as the oracle for the factored one.
+"""The dense forward model and the per-point CV builders, kept as oracles.
 
-These are the formulas the package ran before probes were factored as
-rho_i = A_i S_i A_i^dag: every output state K_l rho_i K_l^dag is formed
-with two N x N x N products per probe and Kraus block.
+The forward model is the one the package ran before probes were factored
+as rho_i = A_i S_i A_i^dag: every output state K_l rho_i K_l^dag is formed
+with two N x N x N products per probe and Kraus block.  The CV builders
+run one eigh per phase-space point, as the package did before
+:mod:`kraustomo.cv` shared one eigh among all the points of a call.
 """
 
 import numpy as np
+
+from kraustomo.cv import annihilation, snap
 
 
 def dense_expectations(blocks, states, observables):
@@ -48,3 +52,31 @@ def dense_value_and_grad(blocks, tomogram, batch=None, lam=1e-3):
     value += float(np.sum(res ** 2))
     grad = grad - 2.0 * np.matmul(weighted[None], left).sum(axis=1)
     return value, grad
+
+
+def displacement_per_point(alpha, dim):
+    """D(alpha) from the eigh of its own generator i(alpha a^dag - alpha^* a),
+    one per point: the construction the batched cv builders replaced."""
+    a = annihilation(dim)
+    h = 1j * (alpha * a.conj().T - np.conj(alpha) * a)
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def coherent_kets_per_point(points, dim):
+    """D(alpha)|0>, renormalized, one displacement per point; (P, N)."""
+    kets = np.array([displacement_per_point(a, dim)[:, 0] for a in points])
+    return kets / np.linalg.norm(kets, axis=1, keepdims=True)
+
+
+def displaced_parities_per_point(points, dim):
+    """D(beta) (-1)^n D(beta)^dag, one displacement per point; (P, N, N)."""
+    parity = (-1.0) ** np.arange(dim)
+    return np.array([(d * parity) @ d.conj().T for d in
+                     (displacement_per_point(b, dim) for b in points)])
+
+
+def snap_displace_per_point(alpha, phases, dim):
+    """The unitary D(alpha) S(phases) D(-alpha), one displacement each."""
+    return (displacement_per_point(alpha, dim) @ snap(phases, dim)
+            @ displacement_per_point(-alpha, dim))

@@ -4,6 +4,7 @@ import time
 import numpy as np
 import pytest
 
+from kraustomo import data as data_module
 from kraustomo import gd, pls
 from kraustomo.cli import (EXIT_INCOMPATIBLE, EXIT_NUMERICAL, EXIT_OK,
                            EXIT_USAGE, main)
@@ -63,10 +64,12 @@ class TestSynth:
         assert tomogram.dim == 12
         assert tomogram.data.shape == (9, 9)
 
-    def test_unknown_cv_process(self, tmp_path):
-        code = main(["synth", "--kind", "cv", "--process", "mystery",
-                     "--out", str(tmp_path / "x.json")])
-        assert code == EXIT_USAGE
+    def test_unknown_cv_process(self, tmp_path, capsys):
+        # There is one CV target; --process is not an option.
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--kind", "cv", "--process", "mystery",
+                  "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == EXIT_USAGE
 
     def test_bad_grid_spec(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -102,11 +105,19 @@ class TestSynth:
         assert code == EXIT_USAGE
         assert "GiB" in capsys.readouterr().err
 
-    def test_out_in_missing_directory_exits_2(self, tmp_path, capsys):
-        code = main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "1",
-                     "--out", str(tmp_path / "nowhere" / "x.json")])
-        assert code == EXIT_USAGE
-        assert "nowhere" in capsys.readouterr().err
+    def test_out_in_missing_directory_exits_2(self, tmp_path, monkeypatch,
+                                              capsys):
+        # --out and --csv are checked before anything is built.
+        def fail(*args):
+            raise AssertionError("the ensembles were built")
+        monkeypatch.setattr(data_module, "materialize_probes", fail)
+        missing = str(tmp_path / "nowhere" / "x")
+        for paths in ([missing, str(tmp_path / "x.csv")],
+                      [str(tmp_path / "x.json"), missing]):
+            code = main(["synth", "--kind", "cv", "--dim", "64",
+                         "--out", paths[0], "--csv", paths[1]])
+            assert code == EXIT_USAGE
+            assert "nowhere" in capsys.readouterr().err
 
     def test_huge_cv_cutoff_exits_2(self, tmp_path, capsys):
         t0 = time.perf_counter()

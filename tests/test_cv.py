@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from kraustomo.cv import (CvGrid, annihilation, coherent_state,
-                          displaced_parity, displacement, measurement_grid,
-                          probe_grid, snap, snap_displace_process)
+from kraustomo.cv import (DEFAULT_ALPHA, DEFAULT_PHASES, CvGrid, annihilation,
+                          coherent_ket, coherent_state, displaced_parity,
+                          displacement, measurement_grid, probe_grid, snap,
+                          snap_displace_process)
+from dense_oracle import (coherent_kets_per_point, displaced_parities_per_point,
+                          displacement_per_point, snap_displace_per_point)
 
 
 class TestCvGrid:
@@ -134,6 +139,72 @@ class TestDisplacedParity:
         lhs = displaced_parity(beta, 32)
         rhs = d @ displaced_parity(0.0, 32) @ d.conj().T
         assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+# The origin, a real, an imaginary and a negative real point.
+SPECIAL_POINTS = np.array([0.0, 1.3, 1.1j, -0.7])
+
+
+@pytest.mark.filterwarnings("ignore:.*truncation")
+@pytest.mark.parametrize("dim", [8, 16, 32])
+@pytest.mark.parametrize("points", [
+    pytest.param(probe_grid().points, id="probe-grid"),
+    pytest.param(measurement_grid().points, id="measurement-grid"),
+    pytest.param(SPECIAL_POINTS, id="special"),
+])
+class TestArrayBuildersMatchPerPoint:
+    """One eigh per call against one eigh per point (dense_oracle)."""
+
+    def test_displacement(self, dim, points):
+        stack = displacement(points, dim)
+        want = np.array([displacement_per_point(a, dim) for a in points])
+        assert stack.shape == (len(points), dim, dim)
+        assert np.abs(stack - want).max() <= 1e-12
+
+    def test_coherent_ket(self, dim, points):
+        kets = coherent_ket(points, dim)
+        assert kets.shape == (len(points), dim)
+        assert np.abs(kets - coherent_kets_per_point(points, dim)).max() \
+            <= 1e-12
+
+    def test_displaced_parity(self, dim, points):
+        ops = displaced_parity(points, dim)
+        assert ops.shape == (len(points), dim, dim)
+        assert np.abs(ops - displaced_parities_per_point(points, dim)).max() \
+            <= 1e-12
+
+    def test_scalar_is_its_row(self, dim, points):
+        for build in (displacement, coherent_ket, displaced_parity):
+            stack = build(points, dim)
+            for i in (0, len(points) - 1):
+                assert np.array_equal(build(points[i], dim), stack[i])
+
+
+class TestArrayBuilders:
+    @pytest.mark.filterwarnings("ignore:.*truncation")
+    def test_points_keep_their_shape(self):
+        pts = SPECIAL_POINTS.reshape(2, 2)
+        assert displacement(pts, 6).shape == (2, 2, 6, 6)
+        assert coherent_ket(pts, 6).shape == (2, 2, 6)
+        assert displaced_parity(pts, 6).shape == (2, 2, 6, 6)
+
+    @pytest.mark.parametrize("build", [displacement, coherent_ket,
+                                       displaced_parity])
+    def test_one_warning_per_call(self, build):
+        # Two points past |alpha|^2 > N/4; the largest is named.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build(np.array([0.1, 3.5, -4.0j, 0.2]), 32)
+            build(np.array([0.1, 0.2]), 32)
+        assert len(caught) == 1
+        assert "16.00" in str(caught[0].message)
+
+    @pytest.mark.filterwarnings("ignore:.*truncation")
+    @pytest.mark.parametrize("dim", [8, 16, 32])
+    def test_snap_displace_process(self, dim):
+        want = snap_displace_per_point(DEFAULT_ALPHA, DEFAULT_PHASES, dim)
+        got = snap_displace_process(DEFAULT_ALPHA, DEFAULT_PHASES, dim)
+        assert np.abs(got.blocks[0] - want).max() <= 1e-12
 
 
 class TestSnap:

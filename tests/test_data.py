@@ -1,10 +1,12 @@
 import hashlib
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kraustomo import cv
 from kraustomo import data as data_module
 from kraustomo.cli import main
 from kraustomo.core import KrausStack, kraus_to_choi
@@ -14,7 +16,9 @@ from kraustomo.data import (SchemaError, Tomogram, batches, complex_from_json,
                             materialize_probes, predict_from_choi, save,
                             sensing_matrix, subsample, synthesize)
 from kraustomo.dv import pauli_ensemble, pauli_projector, random_process
-from dense_oracle import dense_expectations
+from dense_oracle import (coherent_kets_per_point, dense_expectations,
+                          displaced_parities_per_point,
+                          snap_displace_per_point)
 
 
 @pytest.fixture(scope="module")
@@ -283,6 +287,28 @@ class TestMaterializeProbes:
                 materialize_probes({**grid, "type": kind}, 20000)
         assert time.perf_counter() - t0 < 1.0
 
+    @pytest.mark.parametrize("kind", ["coherent_grid",
+                                      "displaced_parity_grid"])
+    def test_cv_grid_under_the_guard_fits_it(self, monkeypatch, kind):
+        # The guard scaled down from 2 GiB so that the grid it just admits
+        # (50 points at N = 32) is cheap to build; tracemalloc does not see
+        # LAPACK's workspace, which the guard's per-call arrays include.
+        dim = 32
+        cap = (50 + 1) * data_module._GRID_WORK_ARRAYS * dim ** 2 * 16
+        monkeypatch.setattr(data_module, "_MAX_GRID_BYTES", cap)
+        grid = {"type": kind, "grid": CvGrid(-1, 1, -1, 1, 5, 10).to_dict()}
+        tracemalloc.start()
+        try:
+            ops = materialize_probes(grid, dim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ops.shape == (50, dim, dim)
+        assert peak <= cap
+        with pytest.raises(MemoryError, match="GiB"):
+            materialize_probes({**grid, "indices": list(range(50)) + [0]},
+                               dim)
+
     def test_selected_entries_pass_the_guard(self):
         ops = materialize_probes({"type": "pauli", "n_qubits": 6,
                                   "indices": list(range(0, 6 ** 6, 997))}, 64)
@@ -318,9 +344,10 @@ class TestSynthLoadRoundTrip:
         assert np.array_equal(back.data, tomo.data)
 
     # SHA-256 of the little-endian float64 data matrix, computed with the
-    # factored forward model.  The dense model gave f1e2e688... and
-    # 87f0b17a...; test_golden_commands_match_dense_oracle bounds the change.
-    # The case ids name the dataset, not the digest, so a re-pin keeps them.
+    # factored forward model and, for cv8, one eigh per CV builder call.
+    # test_golden_commands_match_dense_oracle bounds both commands' data
+    # against the dense model and the per-point CV builders.  The case ids
+    # name the dataset, not the digest, so a re-pin keeps them.
     @pytest.mark.parametrize("args, digest", [
         pytest.param(
             ("--kind", "dv", "--qubits", "2", "--rank", "16", "--noise",
@@ -329,7 +356,7 @@ class TestSynthLoadRoundTrip:
             id="dv2"),
         pytest.param(
             ("--kind", "cv", "--dim", "8", "--seed", "5"),
-            "7839bda10db137a37b53ce3785f714804c6755ce26d1058e592c3b2b1c0ad08c",
+            "deb0567195b87ddf8f7ddfddcdbe6cc89a87b132022db4170263b4c6e7c958b7",
             id="cv8"),
     ])
     def test_golden_data(self, tmp_path, args, digest):
@@ -349,10 +376,15 @@ class TestSynthLoadRoundTrip:
                                   tomo.measurements)
         want += rng.normal(0.0, 1e-2, want.shape)
         assert np.abs(tomo.data - want).max() <= 1e-12
+        # The CV target, probes and measurements from one eigh per point.
         tomo = load(_synth(tmp_path, "cv.json", "--kind", "cv", "--dim", "8",
                            "--seed", "5"))
-        want = dense_expectations(tomo.truth.blocks, tomo.probes,
-                                  tomo.measurements)
+        target = snap_displace_per_point(cv.DEFAULT_ALPHA, cv.DEFAULT_PHASES, 8)
+        kets = coherent_kets_per_point(cv.probe_grid().points, 8)
+        probes = kets[:, :, None] * kets[:, None, :].conj()
+        meas = displaced_parities_per_point(cv.measurement_grid().points, 8)
+        assert np.abs(tomo.truth.blocks[0] - target).max() <= 1e-12
+        want = dense_expectations(target[None], probes, meas)
         assert np.abs(tomo.data - want).max() <= 1e-12
 
 

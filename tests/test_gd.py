@@ -194,6 +194,18 @@ class TestCayleyStep:
             out = cayley_step(est, grad, eta)
             assert np.abs(out.stacked - dense).max() <= 1e-9
 
+    @pytest.mark.parametrize("eta", [10.0, 1e4, 1e8])
+    def test_inner_system_never_singular(self, rng, eta):
+        # det(I + eta/2 B^dag A) = det(I + eta/2 W), W skew-Hermitian, so
+        # |det| >= 1 at any step size and no step needs halving.
+        est = init_kraus(2, 3, rng)
+        grad = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
+        stack = est.stacked
+        a, b = np.hstack([grad, stack]), np.hstack([stack, -grad])
+        inner = np.eye(6) + 0.5 * eta * (b.conj().T @ a)
+        assert abs(np.linalg.det(inner)) >= 1.0
+        assert tp_defect(cayley_step(est, grad, eta)) <= 1e-8
+
     def test_rejects_non_tp_start(self, rng):
         bad = KrausStack(2 * np.eye(2)[None])
         with pytest.raises(ValueError, match="orthonormal"):
