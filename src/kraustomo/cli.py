@@ -8,7 +8,9 @@ incompatibility, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 
@@ -36,10 +38,36 @@ def _parse_phases(text):
     return [float(p) for p in text.split(",")]
 
 
+@contextlib.contextmanager
+def _claimed(*paths):
+    """Check that each given path is writable before any work is done.
+
+    An unwritable path fails here.  A path that exists is opened in append
+    mode and left as it is until the result replaces it; one that does not
+    is created, and removed again if the command then fails.
+    """
+    created = []
+    try:
+        for path in filter(None, paths):
+            try:
+                open(path, "x").close()
+                created.append(path)
+            except FileExistsError:
+                open(path, "a").close()
+        yield
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def cmd_synth(args):
-    # Unwritable paths fail before any work, as in cmd_reconstruct.
-    for path in filter(None, (args.out, args.csv)):
-        open(path, "a").close()
+    with _claimed(args.out, args.csv):
+        return _synth(args)
+
+
+def _synth(args):
     rng = np.random.default_rng(args.seed)
     if args.kind == "dv":
         dim = 2 ** args.qubits
@@ -79,10 +107,12 @@ def _print_and_store_fidelity(doc, tomogram, est_choi):
 
 def cmd_reconstruct(args):
     tomogram = data.load(args.data)
-    if args.out:
-        # An unwritable --out fails here, not after the fit; append mode
-        # leaves an existing file as it is until the result replaces it.
-        open(args.out, "a").close()
+    # An unwritable --out fails here, not after the fit.
+    with _claimed(args.out):
+        return _reconstruct(args, tomogram)
+
+
+def _reconstruct(args, tomogram):
     t0 = time.perf_counter()
     if args.method == "gd":
         cfg = gd.GdConfig(k=args.kraus, eta0=args.lr, decay=args.decay,
@@ -94,7 +124,8 @@ def cmd_reconstruct(args):
             "method": "gd",
             "config": cfg.to_dict(),
             "kraus": [data.complex_to_json(k) for k in est.blocks],
-            "trace": {"loss": trace.loss, "tp_defect": trace.tp_defect,
+            "trace": {"loss": trace.loss, "grad_norm": trace.grad_norm,
+                      "eta": trace.eta, "tp_defect": trace.tp_defect,
                       "iter_time_s": trace.iter_time_s,
                       "stop_reason": trace.stop_reason,
                       "n_iters": trace.n_iters},
@@ -119,7 +150,7 @@ def cmd_reconstruct(args):
               f"({result.cycles} projection cycles)")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(doc, fh)
+            fh.write(json.dumps(doc))
         print(f"wrote {args.out}")
     return EXIT_OK
 

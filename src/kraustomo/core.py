@@ -11,10 +11,12 @@ Tolerances are module constants.
 
 The forward model: every state stack is factored once, rho_i = A_i S_i
 A_i^dag (:func:`factor_states`; R = 1 for the pure Pauli and coherent
-probes), and expectations Tr[M_j sum_l K_l rho_i K_l^dag] are computed
-from phi_li = K_l A_i (:func:`factored_expectations`), as is their
-gradient (:func:`factored_pullback`).  Synthesis, the GD loss and the
-GD gradient all run on it.
+probes), every Hermitian observable stack is flattened once to the real
+(Q, N^2) matrix T_j = Re M_j + Im M_j (:func:`real_observables`), and
+expectations Tr[M_j sum_l K_l rho_i K_l^dag] are computed from phi_li =
+K_l A_i and T (:func:`factored_expectations`), as is their gradient
+(:func:`factored_pullback`).  Synthesis, the GD loss and the GD gradient
+all run on it.
 """
 
 from __future__ import annotations
@@ -124,6 +126,16 @@ class ProcessMetric:
         return f"ProcessMetric(fidelity={self.fidelity:.6f})"
 
 
+def _hermitian_stack(ops, what, symbol):
+    """ops as an array, or ValueError if any of them is not Hermitian."""
+    ops = np.asarray(ops)
+    herm = np.max(np.abs(ops - ops.conj().swapaxes(-1, -2)), initial=0.0)
+    if herm > EXACT_TOL:
+        raise ValueError(f"{what} must be Hermitian: max |{symbol} - "
+                         f"{symbol}^dag| = {herm:.3e}")
+    return ops
+
+
 def factor_states(states):
     """Factor a (P, N, N) stack of Hermitian states as rho_i = A_i S_i A_i^dag.
 
@@ -135,11 +147,7 @@ def factor_states(states):
     keep R <= N and stay exact.  Returns (amps (P, N, R), signs (P, R)).
     A state that is not Hermitian raises ValueError.
     """
-    states = np.asarray(states)
-    herm = np.max(np.abs(states - states.conj().swapaxes(-1, -2)), initial=0.0)
-    if herm > EXACT_TOL:
-        raise ValueError(f"states must be Hermitian: max |rho - rho^dag| "
-                         f"= {herm:.3e}")
+    states = _hermitian_stack(states, "states", "rho")
     w, v = np.linalg.eigh(states)
     mag = np.abs(w)
     n = states.shape[-1]
@@ -153,66 +161,80 @@ def factor_states(states):
     return amps, np.where(keep, np.sign(w), 0.0)
 
 
-def factored_expectations(blocks, factors, observables, paired=False):
+def real_observables(observables):
+    """The real (Q, N^2) form T_j = Re M_j + Im M_j of a Hermitian stack.
+
+    For Hermitian M and sigma, Tr[M sigma] = sum_ab T_ab U_ab with U =
+    Re sigma + Im sigma: Re is symmetric and Im antisymmetric, so the
+    cross terms cancel.  The forward model reads observables in this form
+    only.  An observable that is not Hermitian raises ValueError.
+    """
+    obs = _hermitian_stack(observables, "measurements", "M")
+    flat = obs.reshape(len(obs), -1)
+    return np.ascontiguousarray(flat.real + flat.imag)
+
+
+def factored_expectations(blocks, factors, obs_real, paired=False):
     """The package's one forward model, on factored states.
 
     With (A_i, S_i) = factors and phi_li = K_l A_i, the output state is
-    sum_l phi_li S_i phi_li^dag and e[i, j] = Tr[M_j sum_l phi_li S_i
-    phi_li^dag], over every state i and observable j, a (P, Q) array.
-    When paired, state b goes with observable b only and e is (B,).
-    observables must be a C-contiguous complex stack.  No N^3 product per
-    state is formed.  Returns (e, phi), phi[i] = [phi_1i ... phi_ki] of
-    shape (P, N, k * R), which :func:`factored_pullback` reuses.
+    sigma_i = sum_l phi_li S_i phi_li^dag and e[i, j] = Tr[M_j sigma_i] =
+    U_i . T_j, with U = Re sigma + Im sigma = Re[(1 - i) sigma] and T the
+    observables' real form (:func:`real_observables`), over every state i
+    and observable j, a (P, Q) array.  When paired, state b goes with
+    observable b only and e is (B,).  No N^3 product per state is formed.
+    Returns (e, phi), phi[i] = [phi_1i ... phi_ki] of shape (P, N, k * R),
+    which :func:`factored_pullback` reuses.
     """
     amps, signs = factors
     k, n = blocks.shape[0], blocks.shape[-1]
     p, r = amps.shape[0], amps.shape[-1]
     cols = amps.transpose(1, 0, 2).reshape(n, p * r)
     phi = (blocks.reshape(k * n, n) @ cols).reshape(k, n, p, r)
-    phi = phi.transpose(2, 1, 0, 3)                  # (P, N, k, R)
-    signed = (phi * signs[:, None, None, :]).reshape(p, n, k * r)
-    phi = phi.reshape(p, n, k * r)
-    out = np.matmul(signed, phi.conj().swapaxes(1, 2))
-    # Re Tr[M sigma] = sum_ab Re(sigma_ab) Re(M_ab) + Im(sigma_ab) Im(M_ab)
-    # for Hermitian sigma: a real dot product of the [re, im] views.
-    out_ri = out.reshape(p, -1).view(float)
-    obs_ri = observables.reshape(len(observables), -1).view(float)
+    phi = np.ascontiguousarray(phi.transpose(2, 1, 0, 3)).reshape(p, n, k * r)
+    left = phi * ((1 - 1j) * np.tile(signs, k))[:, None, :]
+    # Re(z w*) = Re z Re w + Im z Im w: a real product of [re, im] views.
+    u = np.matmul(left.view(float), phi.view(float).swapaxes(1, 2))
+    u = u.reshape(p, n * n)
     if paired:
-        return np.einsum("bm,bm->b", out_ri, obs_ri), phi
-    return out_ri @ obs_ri.T, phi
+        return np.einsum("bm,bm->b", u, obs_real), phi
+    return u @ obs_real.T, phi
 
 
-def factored_pullback(phi, factors, observables, coeffs, paired=False):
-    """Conjugate derivative of sum c * e w.r.t. each K_l, for Hermitian M_j.
+def factored_pullback(phi, factors, obs_real, coeffs, paired=False):
+    """Conjugate derivative of sum c * e w.r.t. each K_l.
 
     Block l is sum_i W_i K_l rho_i = sum_i (W_i phi_li) S_i A_i^dag, with
     W_i = sum_j c_ij M_j (c of shape (P, Q)), or W_b = c_b M_b when
     paired (c of shape (B,)); phi is the second return value of
     :func:`factored_expectations` on the same factors and observables.
-    Returns a (k, N, N) array.
+    For real c, w = c T is Re W + Im W flattened, so W = ((w + w^T) +
+    i (w - w^T)) / 2, and W phi is formed from the real products w phi
+    and w^T phi.  Returns a (k, N, N) array.
     """
     amps, signs = factors
     p, n, kr = phi.shape
     r = amps.shape[-1]
     k = kr // r
-    if paired:
-        weights = coeffs[:, None, None] * observables
-    else:
-        obs_ri = observables.reshape(len(observables), -1).view(float)
-        weights = (coeffs @ obs_ri).view(complex).reshape(p, n, n)
-    wphi = np.matmul(weights, phi).reshape(p, n, k, r)
+    w = (coeffs[:, None] * obs_real if paired
+         else coeffs @ obs_real).reshape(p, n, n)
+    phi_ri = phi.view(float)
+    x = np.matmul(w, phi_ri).view(complex)
+    y = np.matmul(w.swapaxes(1, 2), phi_ri).view(complex)
+    wphi = ((x + y) + 1j * (x - y)).reshape(p, n, k, r)      # 2 W phi
     wphi = wphi.transpose(2, 1, 0, 3).reshape(k * n, p * r)
     cols = (amps * signs[:, None, :]).transpose(1, 0, 2).reshape(n, p * r)
-    return (wphi @ cols.conj().T).reshape(k, n, n)
+    return 0.5 * (wphi @ cols.conj().T).reshape(k, n, n)
 
 
 def channel_expectations(blocks, states, observables):
     """Real expectation matrix e[i, j] = Tr[M_j sum_l K_l rho_i K_l^dag].
 
-    Factors the states and runs :func:`factored_expectations`.
+    Factors the states, flattens the observables and runs
+    :func:`factored_expectations`.
     """
     return factored_expectations(blocks, factor_states(states),
-                                 _as_complex(observables))[0]
+                                 real_observables(observables))[0]
 
 
 def apply_kraus(kraus, rho):
@@ -257,10 +279,14 @@ def partial_trace_out(choi):
 
 
 def tp_defect(kraus):
-    """Frobenius norm of sum_l K_l^dag K_l - I (zero iff trace-preserving)."""
-    k = kraus.blocks
-    gram = np.einsum("lab,lac->bc", k.conj(), k)
-    return float(np.linalg.norm(gram - np.eye(kraus.dim)))
+    """Frobenius norm of sum_l K_l^dag K_l - I (zero iff trace-preserving).
+
+    kraus is a KrausStack or its raw kN x N stacked matrix; the sum is the
+    one product K^dag K of the stacked matrix.
+    """
+    stack = kraus.stacked if isinstance(kraus, KrausStack) else kraus
+    gram = stack.conj().T @ stack
+    return float(np.linalg.norm(gram - np.eye(stack.shape[1])))
 
 
 def _sqrtm_psd(mat):

@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .core import (DensityMatrix, KrausStack, channel_expectations,
-                   factor_states, factored_expectations)
+                   factor_states, factored_expectations, real_observables)
 from . import cv, dv
 
 SCHEMA_VERSION = 1
@@ -58,15 +58,18 @@ def _stack_states(states):
 class Tomogram:
     """Probes, measurements, data matrix, and metadata for one experiment.
 
-    ``probes`` is the dense (P, N, N) stack, which PLS and file I/O read;
-    ``probe_factors`` is its factorization (:func:`core.factor_states`),
-    which the forward model reads.  It is computed here unless the caller
-    already holds it (synthesis, subsampling); probes must be Hermitian.
+    ``probes`` and ``measurements`` are the dense (P, N, N) and (Q, N, N)
+    stacks, which PLS and file I/O read.  The forward model reads
+    ``probe_factors``, the probes' factorization
+    (:func:`core.factor_states`), and ``meas_real``, the measurements' real
+    (Q, N^2) form (:func:`core.real_observables`).  Both are computed here
+    unless the caller already holds them (synthesis, subsampling); probes
+    and measurements must be Hermitian.
     """
 
     def __init__(self, kind, dim, probes, measurements, data, noise_sigma,
                  seed=None, probe_spec=None, meas_spec=None, truth=None,
-                 probe_factors=None):
+                 probe_factors=None, meas_real=None):
         self.kind = kind
         self.dim = int(dim)
         self.probes = _stack_states(probes)
@@ -85,6 +88,8 @@ class Tomogram:
         self.truth = truth
         self.probe_factors = (factor_states(self.probes)
                               if probe_factors is None else probe_factors)
+        self.meas_real = (real_observables(self.measurements)
+                          if meas_real is None else meas_real)
 
     @property
     def num_probes(self):
@@ -112,11 +117,12 @@ def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
 
     Noise eta ~ N(0, noise_sigma) is added to every entry; values are not
     clipped to the physical range of the observables.  The probes are
-    factored once, for the data and for the returned tomogram.
+    factored, and the measurements flattened to their real form, once, for
+    the data and for the returned tomogram.
     """
     rho, meas = _stack_states(probes), _stack_states(measurements)
-    factors = factor_states(rho)
-    data = factored_expectations(process.blocks, factors, meas)[0]
+    factors, meas_real = factor_states(rho), real_observables(meas)
+    data = factored_expectations(process.blocks, factors, meas_real)[0]
     if noise_sigma > 0:
         if rng is None:
             raise ValueError("rng is required when noise_sigma > 0")
@@ -124,7 +130,7 @@ def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
     return Tomogram(kind, process.dim, rho, meas, data,
                     noise_sigma, seed=seed, probe_spec=probe_spec,
                     meas_spec=meas_spec, truth=process if keep_truth else None,
-                    probe_factors=factors)
+                    probe_factors=factors, meas_real=meas_real)
 
 
 def _subsample_spec(spec, indices):
@@ -158,7 +164,8 @@ def subsample(tomogram, gamma, rng):
                     seed=tomogram.seed,
                     probe_spec=_subsample_spec(tomogram.probe_spec, pi),
                     meas_spec=_subsample_spec(tomogram.meas_spec, mi),
-                    truth=tomogram.truth, probe_factors=(amps[pi], signs[pi]))
+                    truth=tomogram.truth, probe_factors=(amps[pi], signs[pi]),
+                    meas_real=tomogram.meas_real[mi])
 
 
 def batches(tomogram, batch_size, rng):
@@ -279,7 +286,7 @@ def save(tomogram, path):
         doc["truth"] = {"kraus": [complex_to_json(k)
                                   for k in tomogram.truth.blocks]}
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def expect_object(value, what):

@@ -7,12 +7,13 @@ retraction in the low-rank Wen-Yin form keeping the stack orthonormal
 
 One forward pass per iteration: :func:`value_and_grad` runs the
 package's forward model (:func:`core.factored_expectations`) once, on
-the probe factors rho_i = A_i S_i A_i^dag the tomogram holds, and its
-products phi_li = K_l A_i serve both the residuals (hence the loss) and
-the gradient (:func:`core.factored_pullback`); no N^3 product per probe
-is formed.  :func:`loss` and :func:`wirtinger_gradient` are its two
-halves, built on the same residual helper in full-batch and per-pair
-(minibatch) mode.
+the probe factors rho_i = A_i S_i A_i^dag and the real measurement form
+T_j = Re M_j + Im M_j the tomogram holds, and its products phi_li =
+K_l A_i serve both the residuals (hence the loss) and the gradient
+(:func:`core.factored_pullback`); no N^3 product per probe is formed.
+:func:`loss` and :func:`wirtinger_gradient` are its two halves, built on
+the same residual helper in full-batch and per-pair (minibatch) mode.
+:func:`fit` runs the same objective on the raw kN x N stack.
 """
 
 from __future__ import annotations
@@ -73,9 +74,16 @@ class GdConfig:
 
 @dataclass
 class FitTrace:
-    """Per-iteration history of a fit."""
+    """Per-iteration history of a fit.
+
+    Entry t of grad_norm, eta, tp_defect and iter_time_s belongs to step t:
+    the norm of the gradient it followed, its step size eta0 * decay^t, and
+    the TP defect and wall time after it.
+    """
 
     loss: list = field(default_factory=list)
+    grad_norm: list = field(default_factory=list)
+    eta: list = field(default_factory=list)
     tp_defect: list = field(default_factory=list)
     iter_time_s: list = field(default_factory=list)
     full_loss: list = field(default_factory=list)   # (iteration, value) pairs
@@ -89,11 +97,11 @@ def _residual(blocks, tomogram, batch):
     Full batch (batch None): r[i, j] = d_ij - Tr[M_j sum_l K_l rho_i K_l^dag]
     over all probes and measurements.  Otherwise batch holds (i, j) pairs
     and r[b] is the residual of pair b, with rho_b = rho_i and M_b = M_j.
-    Returns (r, phi, factors, meas): the forward model's phi and the probe
-    factors and measurements r is taken against, as
+    Returns (r, phi, factors, meas_real): the forward model's phi and the
+    probe factors and real measurements r is taken against, as
     :func:`core.factored_pullback` takes them; None for an empty batch.
     """
-    factors, meas, d = (tomogram.probe_factors, tomogram.measurements,
+    factors, meas, d = (tomogram.probe_factors, tomogram.meas_real,
                         tomogram.data)
     if batch is not None:
         idx = np.asarray(batch, dtype=int)
@@ -106,12 +114,28 @@ def _residual(blocks, tomogram, batch):
     return d - pred, phi, factors, meas
 
 
-def _complex_sign(mat):
-    out = np.zeros_like(mat)
-    mod = np.abs(mat)
-    mask = mod >= _SIGN_EPS
-    out[mask] = mat[mask] / mod[mask]
-    return out
+def _objective(stack, tomogram, batch, lam, with_grad):
+    """The loss at a raw kN x N stack, and its gradient if with_grad.
+
+    One |K| serves the L1 value and the elementwise phase.  Returns
+    (float, kN x N array or None).
+    """
+    n = stack.shape[1]
+    blocks = stack.reshape(-1, n, n)
+    mod = np.abs(stack)
+    value = lam * float(mod.sum())
+    grad = None
+    if with_grad:
+        grad = lam * np.divide(stack, mod, out=np.zeros_like(stack),
+                               where=mod >= _SIGN_EPS)
+    forward = _residual(blocks, tomogram, batch)
+    if forward is not None:
+        res, phi, factors, meas = forward
+        value += float(np.sum(res ** 2))
+        if with_grad:
+            grad -= 2.0 * factored_pullback(phi, factors, meas, res,
+                                            batch is not None).reshape(-1, n)
+    return value, grad
 
 
 def value_and_grad(kraus, tomogram, batch=None, lam=1e-3):
@@ -124,16 +148,7 @@ def value_and_grad(kraus, tomogram, batch=None, lam=1e-3):
     elementwise phase, 0 at 0); it reuses the forward pass's K_l A_i.
     Returns (float, kN x N array).
     """
-    blocks = kraus.blocks
-    value = lam * float(np.sum(np.abs(blocks)))
-    grad = lam * _complex_sign(blocks)
-    forward = _residual(blocks, tomogram, batch)
-    if forward is not None:
-        res, phi, factors, meas = forward
-        value += float(np.sum(res ** 2))
-        grad -= 2.0 * factored_pullback(phi, factors, meas, res,
-                                        batch is not None)
-    return value, grad.reshape(-1, kraus.dim)
+    return _objective(kraus.stacked, tomogram, batch, lam, True)
 
 
 def loss(kraus, tomogram, batch=None, lam=1e-3):
@@ -141,11 +156,7 @@ def loss(kraus, tomogram, batch=None, lam=1e-3):
 
     batch is an iterable of (i, j) index pairs; None means all entries.
     """
-    value = lam * float(np.sum(np.abs(kraus.blocks)))
-    forward = _residual(kraus.blocks, tomogram, batch)
-    if forward is not None:
-        value += float(np.sum(forward[0] ** 2))
-    return value
+    return _objective(kraus.stacked, tomogram, batch, lam, False)[0]
 
 
 def wirtinger_gradient(kraus, tomogram, batch=None, lam=1e-3):
@@ -168,21 +179,24 @@ def cayley_step(kraus, grad, eta):
     """
     if not kraus.is_tp():
         raise ValueError("cayley_step requires an orthonormal (TP) stack")
-    return _cayley(kraus, grad, eta)
-
-
-def _cayley(kraus, grad, eta):
-    """:func:`cayley_step` without the TP guard, for a stack known to be TP."""
     stack = kraus.stacked
-    n = kraus.dim
     grad = np.asarray(grad)
     if grad.shape != stack.shape:
         raise ValueError(f"gradient shape {grad.shape} != stack {stack.shape}")
+    return KrausStack.from_stacked(_cayley(stack, grad, eta), kraus.dim)
+
+
+def _cayley(stack, grad, eta):
+    """:func:`cayley_step` on a raw kN x N stack known to be TP.
+
+    B^dag K is the right half of B^dag A, so one product serves both.
+    """
+    n = stack.shape[1]
     a = np.hstack([grad, stack])
-    b = np.hstack([stack, -grad])
-    inner = np.linalg.solve(np.eye(2 * n) + 0.5 * eta * (b.conj().T @ a),
-                            b.conj().T @ stack)
-    return KrausStack.from_stacked(stack - eta * (a @ inner), n)
+    bh = np.hstack([stack, -grad]).conj().T
+    bha = bh @ a
+    inner = np.linalg.solve(np.eye(2 * n) + 0.5 * eta * bha, bha[:, n:])
+    return stack - eta * (a @ inner)
 
 
 def init_kraus(k, dim, rng):
@@ -204,7 +218,8 @@ def fit(tomogram, cfg, init=None):
     is recorded and plateau-checked there, and its gradient drives the
     next step.  One value-only pass closes the trace after the last step.
     ``trace.loss[t]`` is the loss after step t on the batch of step t + 1
-    (the full loss in full-batch mode).
+    (the full loss in full-batch mode).  The loop runs on the raw kN x N
+    stack; only the result is wrapped in a KrausStack.
 
     ``init`` overrides the random starting point; it must be a TP stack
     with cfg.k blocks of the tomogram's dimension.  The TP defect recorded
@@ -215,14 +230,14 @@ def fit(tomogram, cfg, init=None):
     """
     rng = np.random.default_rng(cfg.seed)
     if init is None:
-        kraus = init_kraus(cfg.k, tomogram.dim, rng)
+        init = init_kraus(cfg.k, tomogram.dim, rng)
     else:
         if init.count != cfg.k or init.dim != tomogram.dim:
             raise ValueError(f"init has {init.count} blocks of dim {init.dim}; "
                              f"expected {cfg.k} of dim {tomogram.dim}")
         if not init.is_tp():
             raise ValueError("init stack is not trace-preserving")
-        kraus = init
+    stack = init.stacked
     trace = FitTrace()
     full_batch = (cfg.batch_size is None
                   or cfg.batch_size >= tomogram.num_entries)
@@ -233,16 +248,13 @@ def fit(tomogram, cfg, init=None):
         t0 = time.perf_counter()
         batch = None if full_batch else next(stream)
         last = it == cfg.max_iters
-        if last:
-            value = loss(kraus, tomogram, batch, cfg.lam)
-        else:
-            value, grad = value_and_grad(kraus, tomogram, batch, cfg.lam)
+        value, grad = _objective(stack, tomogram, batch, cfg.lam, not last)
         if it:
             # value is the loss after the step taken in iteration it - 1
             trace.loss.append(value)
             if it % cfg.plateau_window == 0:
-                full = (value if full_batch
-                        else loss(kraus, tomogram, None, cfg.lam))
+                full = (value if full_batch else
+                        _objective(stack, tomogram, None, cfg.lam, False)[0])
                 trace.full_loss.append((it, full))
                 if prev_full is not None:
                     rel = abs(prev_full - full) / max(abs(full), 1e-300)
@@ -256,13 +268,15 @@ def fit(tomogram, cfg, init=None):
         if gnorm < cfg.grad_norm_floor:
             trace.stop_reason = "gradient_floor"
             break
-        kraus = _cayley(kraus, grad / gnorm, eta)
-        defect = tp_defect(kraus)
+        stack = _cayley(stack, grad / gnorm, eta)
+        defect = tp_defect(stack)
         if defect > VALID_TOL:
             raise ValueError(f"step {it} left the orthonormal (TP) manifold: "
                              f"tp_defect {defect:.3e}")
+        trace.grad_norm.append(gnorm)
+        trace.eta.append(eta)
         trace.tp_defect.append(defect)
         trace.iter_time_s.append(time.perf_counter() - t0)
         trace.n_iters = it + 1
         eta *= cfg.decay
-    return kraus, trace
+    return KrausStack.from_stacked(stack, tomogram.dim), trace

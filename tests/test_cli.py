@@ -128,6 +128,25 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "GiB" in err and len(err.splitlines()) == 1
 
+    def test_failed_synth_removes_the_files_it_created(self, tmp_path,
+                                                       capsys):
+        out, csv = tmp_path / "new.json", tmp_path / "new.csv"
+        code = main(["synth", "--kind", "cv", "--dim", "20000",
+                     "--out", str(out), "--csv", str(csv)])
+        assert code == EXIT_USAGE
+        assert "GiB" in capsys.readouterr().err
+        assert not out.exists() and not csv.exists()
+
+    def test_failed_synth_keeps_existing_files(self, tmp_path, capsys):
+        out, csv = tmp_path / "old.json", tmp_path / "old.csv"
+        out.write_text("previous")
+        csv.write_text("previous csv")
+        code = main(["synth", "--kind", "cv", "--dim", "20000",
+                     "--out", str(out), "--csv", str(csv)])
+        assert code == EXIT_USAGE
+        assert out.read_text() == "previous"
+        assert csv.read_text() == "previous csv"
+
 
 class TestReconstruct:
     def test_gd_round_trip(self, dv_dataset, tmp_path, capsys):
@@ -237,6 +256,30 @@ class TestReconstruct:
                      str(dv_dataset), "--out", str(out)])
         assert code == EXIT_NUMERICAL
         assert out.read_text() == "previous"
+
+    def test_new_out_removed_when_the_fit_fails(self, dv_dataset, tmp_path,
+                                                monkeypatch):
+        out = tmp_path / "est.json"
+
+        def failing_fit(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+        monkeypatch.setattr(gd, "fit", failing_fit)
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--out", str(out)])
+        assert code == EXIT_NUMERICAL
+        assert not out.exists()
+
+    def test_gd_trace_has_grad_norm_and_eta(self, dv_dataset, tmp_path):
+        out = tmp_path / "est.json"
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--kraus", "2", "--iters", "20",
+                     "--lr", "0.2", "--decay", "0.9", "--out", str(out)])
+        assert code == EXIT_OK
+        trace = json.loads(out.read_text())["trace"]
+        assert len(trace["grad_norm"]) == len(trace["eta"]) == 20
+        assert trace["eta"][0] == 0.2
+        assert trace["eta"][-1] == pytest.approx(0.2 * 0.9 ** 19, rel=1e-12)
+        assert min(trace["grad_norm"]) > 0
 
     def test_negative_iterations_exit_2(self, dv_dataset, capsys):
         code = main(["reconstruct", "--method", "gd", "--data",

@@ -344,7 +344,8 @@ class TestSynthLoadRoundTrip:
         assert np.array_equal(back.data, tomo.data)
 
     # SHA-256 of the little-endian float64 data matrix, computed with the
-    # factored forward model and, for cv8, one eigh per CV builder call.
+    # factored forward model on real measurements (T = Re M + Im M) and,
+    # for cv8, one eigh per CV builder call.
     # test_golden_commands_match_dense_oracle bounds both commands' data
     # against the dense model and the per-point CV builders.  The case ids
     # name the dataset, not the digest, so a re-pin keeps them.
@@ -352,11 +353,11 @@ class TestSynthLoadRoundTrip:
         pytest.param(
             ("--kind", "dv", "--qubits", "2", "--rank", "16", "--noise",
              "1e-2", "--seed", "3"),
-            "2faa42a6b4e712e8725d2074aa69ff0cc400109129b5970392dfb80a7edc9529",
+            "83a38e329e1e39eade1f19b19fd5fbccd6bcd9356260910144b03445d97c44a3",
             id="dv2"),
         pytest.param(
             ("--kind", "cv", "--dim", "8", "--seed", "5"),
-            "deb0567195b87ddf8f7ddfddcdbe6cc89a87b132022db4170263b4c6e7c958b7",
+            "12e00bb0a73eeefeea81a22571e70a28a48500505d074902c2335568b1e94e8d",
             id="cv8"),
     ])
     def test_golden_data(self, tmp_path, args, digest):

@@ -8,7 +8,8 @@ import pytest
 from dense_oracle import dense_expectations, dense_value_and_grad
 from kraustomo import cv
 from kraustomo.cli import EXIT_USAGE, main
-from kraustomo.core import factor_states
+from kraustomo.core import (factor_states, factored_expectations,
+                            factored_pullback, real_observables)
 from kraustomo.data import (Tomogram, complex_to_json, expectations,
                             materialize_probes, subsample, synthesize)
 from kraustomo.dv import pauli_projectors, random_process
@@ -67,7 +68,7 @@ def _setting(name):
     return synthesize(process, probes, meas, 1e-2, rng), 2, rank
 
 
-SETTINGS = ["dv1", "dv2", "dv3", "cv8", "cv16", "explicit-rank2",
+SETTINGS = ["dv1", "dv2", "dv3", "cv8", "cv16", "cv32", "explicit-rank2",
             "explicit-full", "explicit-indefinite"]
 BATCHES = {"full": None, "repeated-pair": [(0, 1), (3, 2), (0, 1), (5, 0)],
            "empty": []}
@@ -114,6 +115,63 @@ class TestFactorStates:
                             amps.conj().swapaxes(1, 2))
         assert np.abs(rebuilt - sub.probes).max() <= 1e-14
 
+    def test_subsample_slices_the_real_observables(self, rng):
+        tomogram, _, _ = _setting("cv8")
+        sub = subsample(tomogram, 0.5, rng)
+        assert np.array_equal(sub.meas_real,
+                              real_observables(sub.measurements))
+        rows = [np.flatnonzero((tomogram.measurements == m).all(axis=(1, 2)))
+                for m in sub.measurements]
+        assert np.array_equal(sub.meas_real,
+                              tomogram.meas_real[np.concatenate(rows)])
+
+
+def _dense_pullback(blocks, states, observables, coeffs, paired):
+    """sum_i W_i K_l rho_i with W_i = sum_j c_ij M_j (or c_b M_b)."""
+    if paired:
+        weights = coeffs[:, None, None] * observables
+    else:
+        weights = np.einsum("pq,qab->pab", coeffs, observables)
+    left = np.matmul(blocks[:, None], states[None])
+    return np.matmul(weights[None], left).sum(axis=1)
+
+
+class TestRealObservables:
+    """The real form T = Re M + Im M against the dense complex model."""
+
+    def test_shape_and_values(self, setting):
+        tomogram, _, _ = setting
+        meas = tomogram.measurements
+        assert tomogram.meas_real.shape == (len(meas), tomogram.dim ** 2)
+        want = (meas.real + meas.imag).reshape(len(meas), -1)
+        assert np.array_equal(tomogram.meas_real, want)
+
+    @pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
+    def test_forward_and_pullback(self, setting, batch):
+        tomogram, k, _ = setting
+        blocks = init_kraus(k, tomogram.dim, np.random.default_rng(7)).blocks
+        amps, signs = tomogram.probe_factors
+        rho, meas, obs = (tomogram.probes, tomogram.measurements,
+                          tomogram.meas_real)
+        paired = batch is not None
+        if paired:
+            idx = np.asarray(batch, dtype=int).reshape(-1, 2)
+            i, j = idx[:, 0], idx[:, 1]
+            amps, signs, rho = amps[i], signs[i], rho[i]
+            meas, obs = meas[j], obs[j]
+        e, phi = factored_expectations(blocks, (amps, signs), obs, paired)
+        want = dense_expectations(blocks, rho, meas)
+        if paired:
+            want = want[np.arange(len(i)), np.arange(len(i))]
+        assert e.shape == want.shape
+        assert np.abs(e - want).max(initial=0.0) \
+            <= RTOL * np.abs(want).max(initial=1.0)
+        coeffs = np.random.default_rng(8).normal(size=e.shape)
+        got = factored_pullback(phi, (amps, signs), obs, coeffs, paired)
+        want = _dense_pullback(blocks, rho, meas, coeffs, paired)
+        assert got.shape == want.shape == blocks.shape
+        assert np.abs(got - want).max() <= RTOL * np.abs(want).max(initial=1.0)
+
 
 class TestMatchesDenseOracle:
     @pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
@@ -134,6 +192,41 @@ class TestMatchesDenseOracle:
         want = dense_expectations(tomogram.truth.blocks, tomogram.probes,
                                   tomogram.measurements)
         assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
+
+
+class TestNonHermitianMeasurements:
+    def _meas(self):
+        meas = pauli_projectors(1)
+        meas[4, 1, 0] += 0.5j
+        return meas
+
+    def test_real_form_rejects(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            real_observables(self._meas())
+
+    def test_tomogram_rejects(self):
+        ops = pauli_projectors(1)
+        with pytest.raises(ValueError, match="Hermitian"):
+            Tomogram("dv", 2, ops, self._meas(), np.zeros((6, 6)), 0.0)
+
+    def test_synthesis_rejects(self, rng):
+        with pytest.raises(ValueError, match="Hermitian"):
+            synthesize(random_process(2, 1, rng), pauli_projectors(1),
+                       self._meas(), 0.0)
+
+    def test_cli_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "dv.json"
+        assert main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "2",
+                     "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["measurements"] = {"type": "explicit",
+                               "matrices": complex_to_json(self._meas())}
+        path.write_text(json.dumps(doc))
+        code = main(["reconstruct", "--method", "gd", "--data", str(path),
+                     "--iters", "1"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Hermitian" in err and len(err.splitlines()) == 1
 
 
 class TestNonHermitianProbes:

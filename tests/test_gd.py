@@ -345,8 +345,10 @@ class TestFitStops:
         assert [it for it, _ in trace.full_loss] == [20]
 
     def test_one_forward_pass_per_iteration(self, monkeypatch):
+        # 30 passes that also pull the gradient back, and one value-only
+        # pass that closes the trace.
         import kraustomo.gd as gd_module
-        calls = {"value_and_grad": 0, "loss": 0}
+        calls = {"factored_expectations": 0, "factored_pullback": 0}
 
         def counting(name):
             original = getattr(gd_module, name)
@@ -358,7 +360,7 @@ class TestFitStops:
         for name in calls:
             monkeypatch.setattr(gd_module, name, counting(name))
         fit(_golden_tomogram(), GdConfig(k=2, max_iters=30, seed=1))
-        assert calls == {"value_and_grad": 30, "loss": 1}
+        assert calls == {"factored_expectations": 31, "factored_pullback": 30}
 
     def test_one_tp_defect_per_iteration(self, monkeypatch):
         import kraustomo.gd as gd_module
@@ -371,16 +373,36 @@ class TestFitStops:
 
     def test_step_off_the_manifold_raises(self, monkeypatch):
         import kraustomo.gd as gd_module
-        monkeypatch.setattr(gd_module, "_cayley", lambda kraus, grad, eta:
-                            KrausStack(1.01 * kraus.blocks))
+        monkeypatch.setattr(gd_module, "_cayley",
+                            lambda stack, grad, eta: 1.01 * stack)
         with pytest.raises(ValueError, match="orthonormal"):
             fit(_golden_tomogram(), GdConfig(k=2, max_iters=5, seed=1))
+
+    @pytest.mark.parametrize("cfg", [
+        GdConfig(k=2, max_iters=12, seed=1, eta0=0.3, decay=0.9),
+        GdConfig(k=2, max_iters=200, seed=1, grad_norm_floor=0.05),
+    ], ids=["max_iters", "gradient_floor"])
+    def test_grad_norm_and_eta_per_step(self, cfg):
+        tomogram = _golden_tomogram()
+        _, trace = fit(tomogram, cfg)
+        assert len(trace.grad_norm) == len(trace.eta) == trace.n_iters
+        for t, eta in enumerate(trace.eta):
+            assert eta == pytest.approx(cfg.eta0 * cfg.decay ** t, rel=1e-12)
+        # grad_norm[t] is the norm of the gradient at the stack step t
+        # started from: the result of a fit stopped after t steps.
+        for t in (0, 1, trace.n_iters - 1):
+            start, _ = fit(tomogram, GdConfig(k=cfg.k, max_iters=t,
+                                              seed=cfg.seed, eta0=cfg.eta0,
+                                              decay=cfg.decay))
+            want = np.linalg.norm(value_and_grad(start, tomogram)[1])
+            assert trace.grad_norm[t] == pytest.approx(want, rel=1e-12)
 
     def test_no_iterations(self):
         tomogram = _golden_tomogram()
         _, trace = fit(tomogram, GdConfig(k=2, max_iters=0, seed=1))
         assert trace.n_iters == 0
         assert trace.loss == [] and trace.full_loss == []
+        assert trace.grad_norm == [] and trace.eta == []
         assert trace.stop_reason == "max_iters"
 
     def test_golden_full_batch_fit(self):
