@@ -80,13 +80,14 @@ def _synth(args):
         meas_spec = {"type": "displaced_parity_grid",
                      "grid": meas_grid.to_dict()}
     # Built (and validated) before the target, whose cost grows with dim.
-    probes = data.materialize_probes(probe_spec, dim)
-    meas = data.materialize_probes(meas_spec, dim)
+    probes, factors = data.materialize_probes(probe_spec, dim)
+    meas = data.materialize_probes(meas_spec, dim)[0]
     process = (dv.random_process(dim, args.rank, rng) if args.kind == "dv"
                else cv.snap_displace_process(args.alpha, args.theta, dim))
     tomogram = data.synthesize(process, probes, meas, args.noise, rng,
                                kind=args.kind, seed=args.seed,
-                               probe_spec=probe_spec, meas_spec=meas_spec)
+                               probe_spec=probe_spec, meas_spec=meas_spec,
+                               probe_factors=factors)
     if args.gamma is not None:
         tomogram = data.subsample(tomogram, args.gamma, rng)
     data.save(tomogram, args.out)
@@ -127,6 +128,9 @@ def _reconstruct(args, tomogram):
             "trace": {"loss": trace.loss, "grad_norm": trace.grad_norm,
                       "eta": trace.eta, "tp_defect": trace.tp_defect,
                       "iter_time_s": trace.iter_time_s,
+                      "pass_time_s": trace.pass_time_s,
+                      "cayley_time_s": trace.cayley_time_s,
+                      "tp_check_time_s": trace.tp_check_time_s,
                       "stop_reason": trace.stop_reason,
                       "n_iters": trace.n_iters},
             "wall_time_s": time.perf_counter() - t0,

@@ -16,7 +16,9 @@ probes), every Hermitian observable stack is flattened once to the real
 expectations Tr[M_j sum_l K_l rho_i K_l^dag] are computed from phi_li =
 K_l A_i and T (:func:`factored_expectations`), as is their gradient
 (:func:`factored_pullback`).  Synthesis, the GD loss and the GD gradient
-all run on it.
+all run on it.  It is probe-major: phi is one product of the (P R, N)
+probe rows with the Kraus blocks, laid out (P, N, k R), and the arrays
+that depend only on the probes (:func:`probe_terms`) can be built once.
 """
 
 from __future__ import annotations
@@ -174,25 +176,37 @@ def real_observables(observables):
     return np.ascontiguousarray(flat.real + flat.imag)
 
 
+def probe_terms(factors):
+    """(A, S, rows, coef, conj_rows): probe factors (A, S) with what the
+    forward model reads from them, the (P R, N) rows A_i^T, (1 - i) S_i
+    shaped to broadcast over the Kraus index and the (N, P R) conjugate
+    rows (A_i S_i / 2)^*; both forward functions take it for (A, S)."""
+    amps, signs = factors
+    p, n, r = amps.shape
+    conj = (amps.conj() * (0.5 * signs)[:, None, :]).swapaxes(1, 2)
+    return (amps, signs, amps.swapaxes(1, 2).reshape(p * r, n),
+            ((1 - 1j) * signs)[:, None, None, :], conj.reshape(p * r, n).T)
+
+
 def factored_expectations(blocks, factors, obs_real, paired=False):
     """The package's one forward model, on factored states.
 
-    With (A_i, S_i) = factors and phi_li = K_l A_i, the output state is
-    sigma_i = sum_l phi_li S_i phi_li^dag and e[i, j] = Tr[M_j sigma_i] =
-    U_i . T_j, with U = Re sigma + Im sigma = Re[(1 - i) sigma] and T the
-    observables' real form (:func:`real_observables`), over every state i
-    and observable j, a (P, Q) array.  When paired, state b goes with
-    observable b only and e is (B,).  No N^3 product per state is formed.
-    Returns (e, phi), phi[i] = [phi_1i ... phi_ki] of shape (P, N, k * R),
-    which :func:`factored_pullback` reuses.
+    With (A_i, S_i) = factors (or their :func:`probe_terms`) and phi_li =
+    K_l A_i, the output state is sigma_i = sum_l phi_li S_i phi_li^dag and
+    e[i, j] = Tr[M_j sigma_i] = U_i . T_j, with U = Re sigma + Im sigma =
+    Re[(1 - i) sigma] and T from :func:`real_observables`, a (P, Q) array;
+    when paired, state b goes with observable b only and e is (B,).  phi,
+    the probe rows A_i^T times [K_l^T] (N, N k), is copied only to order
+    its columns (l, r) when R > 1.  Returns (e, phi (P, N, k R)).
     """
-    amps, signs = factors
+    _, signs, rows, coef, _ = (factors if len(factors) > 2
+                               else probe_terms(factors))
     k, n = blocks.shape[0], blocks.shape[-1]
-    p, r = amps.shape[0], amps.shape[-1]
-    cols = amps.transpose(1, 0, 2).reshape(n, p * r)
-    phi = (blocks.reshape(k * n, n) @ cols).reshape(k, n, p, r)
-    phi = np.ascontiguousarray(phi.transpose(2, 1, 0, 3)).reshape(p, n, k * r)
-    left = phi * ((1 - 1j) * np.tile(signs, k))[:, None, :]
+    p, r = signs.shape
+    phi = rows @ blocks.transpose(2, 1, 0).reshape(n, n * k)
+    phi = np.ascontiguousarray(phi.reshape(p, r, n, k).transpose(0, 2, 3, 1))
+    left = (phi * coef).reshape(p, n, k * r)
+    phi = phi.reshape(p, n, k * r)
     # Re(z w*) = Re z Re w + Im z Im w: a real product of [re, im] views.
     u = np.matmul(left.view(float), phi.view(float).swapaxes(1, 2))
     u = u.reshape(p, n * n)
@@ -207,14 +221,15 @@ def factored_pullback(phi, factors, obs_real, coeffs, paired=False):
     Block l is sum_i W_i K_l rho_i = sum_i (W_i phi_li) S_i A_i^dag, with
     W_i = sum_j c_ij M_j (c of shape (P, Q)), or W_b = c_b M_b when
     paired (c of shape (B,)); phi is the second return value of
-    :func:`factored_expectations` on the same factors and observables.
-    For real c, w = c T is Re W + Im W flattened, so W = ((w + w^T) +
-    i (w - w^T)) / 2, and W phi is formed from the real products w phi
-    and w^T phi.  Returns a (k, N, N) array.
+    :func:`factored_expectations` on the same A.  For real c, w = c T is
+    Re W + Im W flattened, so 2 W = (w + w^T) + i (w - w^T), formed on phi
+    from the real products w phi and w^T phi.  The sum over probes is one
+    product of the signed conjugate rows of :func:`probe_terms` with the
+    (P R, N k) rows of 2 W phi.  Returns a (k, N, N) transposed view.
     """
-    amps, signs = factors
-    p, n, kr = phi.shape
-    r = amps.shape[-1]
+    _, signs, _, _, conj = (factors if len(factors) > 2
+                            else probe_terms(factors))
+    (p, n, kr), r = phi.shape, signs.shape[1]
     k = kr // r
     w = (coeffs[:, None] * obs_real if paired
          else coeffs @ obs_real).reshape(p, n, n)
@@ -222,17 +237,13 @@ def factored_pullback(phi, factors, obs_real, coeffs, paired=False):
     x = np.matmul(w, phi_ri).view(complex)
     y = np.matmul(w.swapaxes(1, 2), phi_ri).view(complex)
     wphi = ((x + y) + 1j * (x - y)).reshape(p, n, k, r)      # 2 W phi
-    wphi = wphi.transpose(2, 1, 0, 3).reshape(k * n, p * r)
-    cols = (amps * signs[:, None, :]).transpose(1, 0, 2).reshape(n, p * r)
-    return 0.5 * (wphi @ cols.conj().T).reshape(k, n, n)
+    wphi = wphi.transpose(0, 3, 1, 2).reshape(p * r, n * k)
+    return (conj @ wphi).reshape(n, n, k).transpose(2, 1, 0)
 
 
 def channel_expectations(blocks, states, observables):
-    """Real expectation matrix e[i, j] = Tr[M_j sum_l K_l rho_i K_l^dag].
-
-    Factors the states, flattens the observables and runs
-    :func:`factored_expectations`.
-    """
+    """e[i, j] = Tr[M_j sum_l K_l rho_i K_l^dag] by factoring the states and
+    flattening the observables for :func:`factored_expectations`."""
     return factored_expectations(blocks, factor_states(states),
                                  real_observables(observables))[0]
 
@@ -279,14 +290,12 @@ def partial_trace_out(choi):
 
 
 def tp_defect(kraus):
-    """Frobenius norm of sum_l K_l^dag K_l - I (zero iff trace-preserving).
-
-    kraus is a KrausStack or its raw kN x N stacked matrix; the sum is the
-    one product K^dag K of the stacked matrix.
-    """
+    """Frobenius norm of sum_l K_l^dag K_l - I (zero iff trace-preserving),
+    the one product K^dag K of a KrausStack's or raw kN x N stacked matrix."""
     stack = kraus.stacked if isinstance(kraus, KrausStack) else kraus
     gram = stack.conj().T @ stack
-    return float(np.linalg.norm(gram - np.eye(stack.shape[1])))
+    gram.reshape(-1)[::stack.shape[1] + 1] -= 1.0
+    return float(np.sqrt(np.vdot(gram, gram).real))
 
 
 def _sqrtm_psd(mat):

@@ -63,8 +63,9 @@ class Tomogram:
     ``probe_factors``, the probes' factorization
     (:func:`core.factor_states`), and ``meas_real``, the measurements' real
     (Q, N^2) form (:func:`core.real_observables`).  Both are computed here
-    unless the caller already holds them (synthesis, subsampling); probes
-    and measurements must be Hermitian.
+    unless the caller already holds them (synthesis, subsampling, coherent
+    probes built from their kets); probes and measurements must be
+    Hermitian.
     """
 
     def __init__(self, kind, dim, probes, measurements, data, noise_sigma,
@@ -112,16 +113,18 @@ def expectations(process, probes, measurements):
 
 def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
                kind="dv", seed=None, probe_spec=None, meas_spec=None,
-               keep_truth=True):
+               keep_truth=True, probe_factors=None):
     """Simulate a tomography experiment with i.i.d. Gaussian noise.
 
     Noise eta ~ N(0, noise_sigma) is added to every entry; values are not
     clipped to the physical range of the observables.  The probes are
-    factored, and the measurements flattened to their real form, once, for
-    the data and for the returned tomogram.
+    factored (unless probe_factors already holds their factors), and the
+    measurements flattened to their real form, once, for the data and for
+    the returned tomogram.
     """
     rho, meas = _stack_states(probes), _stack_states(measurements)
-    factors, meas_real = factor_states(rho), real_observables(meas)
+    factors = factor_states(rho) if probe_factors is None else probe_factors
+    meas_real = real_observables(meas)
     data = factored_expectations(process.blocks, factors, meas_real)[0]
     if noise_sigma > 0:
         if rng is None:
@@ -230,11 +233,15 @@ def _indices(spec, size):
 
 def materialize_probes(spec, dim):
     """The stacked (P, N, N) operators of an explicit, pauli, coherent_grid
-    or displaced_parity_grid descriptor.
+    or displaced_parity_grid descriptor, and their factors where the build
+    gives them.
 
-    The one place a descriptor is validated: a malformed field, an index
-    out of range, 2**n_qubits != dim or an unknown type is a SchemaError,
-    and a stack too large to build in memory a MemoryError.
+    Returns (stack, factors): for a coherent grid, factors are the kets
+    the projectors are built from, as (A, S) with R = 1 and S = 1 (see
+    :func:`core.factor_states`); for the other types, None.  The one
+    place a descriptor is validated: a malformed field, an index out of
+    range, 2**n_qubits != dim or an unknown type is a SchemaError, and a
+    stack too large to build in memory a MemoryError.
     """
     kind = expect_object(spec, "a probe/measurement descriptor").get("type")
     try:
@@ -242,14 +249,14 @@ def materialize_probes(spec, dim):
             mats = complex_from_json(spec["matrices"])
             if mats.shape[1:] != (dim, dim):
                 raise SchemaError(f"matrices of shape {mats.shape}, dim {dim}")
-            return mats
+            return mats, None
         if kind == "pauli":
             n = spec["n_qubits"]
             # bit_length first, so 2**n is never formed for a huge n.
             if not (isinstance(n, int) and n == int(dim).bit_length() - 1
                     and 2 ** n == dim):
                 raise SchemaError(f"n_qubits {n!r} does not match dim {dim}")
-            return dv.pauli_projectors(n, _indices(spec, 6 ** n))
+            return dv.pauli_projectors(n, _indices(spec, 6 ** n)), None
         if kind in ("coherent_grid", "displaced_parity_grid"):
             pts = cv.CvGrid.from_dict(spec["grid"]).points
             idx = _indices(spec, len(pts))
@@ -261,9 +268,10 @@ def materialize_probes(spec, dim):
                     f"a {kind} of {len(pts)} points at dim {dim} needs more "
                     f"than {_MAX_GRID_BYTES >> 30} GiB")
             if kind == "coherent_grid":
-                kets = cv.coherent_ket(pts, dim)
-                return kets[:, :, None] * kets[:, None, :].conj()
-            return cv.displaced_parity(pts, dim)
+                kets = cv.coherent_ket(pts, dim)[:, :, None]
+                return (kets * kets.swapaxes(1, 2).conj(),
+                        (kets, np.ones((len(kets), 1))))
+            return cv.displaced_parity(pts, dim), None
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed {kind} descriptor: {exc}") from exc
     raise SchemaError(f"unknown probe/measurement descriptor: {kind!r}")
@@ -322,15 +330,15 @@ def load(path):
         if "truth" in doc:
             kraus = expect_object(doc["truth"], "truth")["kraus"]
             truth = KrausStack(np.array([complex_from_json(k) for k in kraus]))
-        return Tomogram(doc["kind"], dim,
-                        materialize_probes(doc["probes"], dim),
-                        materialize_probes(doc["measurements"], dim),
+        probes, factors = materialize_probes(doc["probes"], dim)
+        return Tomogram(doc["kind"], dim, probes,
+                        materialize_probes(doc["measurements"], dim)[0],
                         doc["data"], doc["noise_sigma"], seed=doc.get("seed"),
                         probe_spec={k: v for k, v in doc["probes"].items()
                                     if k != "matrices"},
                         meas_spec={k: v for k, v in doc["measurements"].items()
                                    if k != "matrices"},
-                        truth=truth)
+                        truth=truth, probe_factors=factors)
     except KeyError as exc:
         raise SchemaError(f"missing key {exc} in {path}") from exc
 

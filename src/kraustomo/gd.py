@@ -8,12 +8,12 @@ retraction in the low-rank Wen-Yin form keeping the stack orthonormal
 One forward pass per iteration: :func:`value_and_grad` runs the
 package's forward model (:func:`core.factored_expectations`) once, on
 the probe factors rho_i = A_i S_i A_i^dag and the real measurement form
-T_j = Re M_j + Im M_j the tomogram holds, and its products phi_li =
-K_l A_i serve both the residuals (hence the loss) and the gradient
-(:func:`core.factored_pullback`); no N^3 product per probe is formed.
-:func:`loss` and :func:`wirtinger_gradient` are its two halves, built on
-the same residual helper in full-batch and per-pair (minibatch) mode.
-:func:`fit` runs the same objective on the raw kN x N stack.
+T_j = Re M_j + Im M_j the tomogram holds; its products phi_li = K_l A_i
+serve the residuals (hence the loss) and the gradient
+(:func:`core.factored_pullback`).  :func:`loss` and
+:func:`wirtinger_gradient` are its two halves.  :func:`fit` runs it on
+the raw kN x N stack with the probe-side arrays (:func:`core.probe_terms`)
+built once, so an iteration builds nothing that depends only on the data.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (VALID_TOL, KrausStack, factored_expectations,
-                   factored_pullback, tp_defect)
+                   factored_pullback, probe_terms, tp_defect)
 from .data import batches as batch_stream
 from .dv import random_unitary
 
@@ -76,9 +76,11 @@ class GdConfig:
 class FitTrace:
     """Per-iteration history of a fit.
 
-    Entry t of grad_norm, eta, tp_defect and iter_time_s belongs to step t:
-    the norm of the gradient it followed, its step size eta0 * decay^t, and
-    the TP defect and wall time after it.
+    Entry t of grad_norm, eta, tp_defect and the times belongs to step t:
+    the norm of the gradient it followed, its step size eta0 * decay^t, the
+    TP defect after it and its wall time, split into three phases that add
+    up to no more than iter_time_s: the loss and gradient pass (with the
+    plateau check), the normalized Cayley step and the TP check.
     """
 
     loss: list = field(default_factory=list)
@@ -86,69 +88,64 @@ class FitTrace:
     eta: list = field(default_factory=list)
     tp_defect: list = field(default_factory=list)
     iter_time_s: list = field(default_factory=list)
+    pass_time_s: list = field(default_factory=list)
+    cayley_time_s: list = field(default_factory=list)
+    tp_check_time_s: list = field(default_factory=list)
     full_loss: list = field(default_factory=list)   # (iteration, value) pairs
     n_iters: int = 0
     stop_reason: str = "max_iters"
 
 
-def _residual(blocks, tomogram, batch):
-    """The fit's residuals from the forward model, and what they share.
-
-    Full batch (batch None): r[i, j] = d_ij - Tr[M_j sum_l K_l rho_i K_l^dag]
-    over all probes and measurements.  Otherwise batch holds (i, j) pairs
-    and r[b] is the residual of pair b, with rho_b = rho_i and M_b = M_j.
-    Returns (r, phi, factors, meas_real): the forward model's phi and the
-    probe factors and real measurements r is taken against, as
-    :func:`core.factored_pullback` takes them; None for an empty batch.
-    """
-    factors, meas, d = (tomogram.probe_factors, tomogram.meas_real,
-                        tomogram.data)
+def _terms(tomogram, batch):
+    """(probe terms, terms of 2 rho_i, meas_real, d) for the residuals r =
+    d - e of a batch of (i, j) pairs (pair b: rho_i and M_j), all probes
+    and measurements if batch is None, or None for an empty batch.  The
+    pullback of -r onto 2 rho_i is the gradient of sum r^2 itself."""
+    (amps, signs), meas, d = (tomogram.probe_factors, tomogram.meas_real,
+                              tomogram.data)
     if batch is not None:
         idx = np.asarray(batch, dtype=int)
         if idx.size == 0:
             return None
         i, j = idx[:, 0], idx[:, 1]
-        factors = (factors[0][i], factors[1][i])
-        meas, d = meas[j], d[i, j]
-    pred, phi = factored_expectations(blocks, factors, meas, batch is not None)
-    return d - pred, phi, factors, meas
+        amps, signs, meas, d = amps[i], signs[i], meas[j], d[i, j]
+    return (probe_terms((amps, signs)), probe_terms((amps, 2.0 * signs)),
+            meas, d)
 
 
-def _objective(stack, tomogram, batch, lam, with_grad):
-    """The loss at a raw kN x N stack, and its gradient if with_grad.
-
-    One |K| serves the L1 value and the elementwise phase.  Returns
-    (float, kN x N array or None).
-    """
+def _objective(stack, terms, lam, with_grad):
+    """The loss at a raw kN x N stack, and its gradient if with_grad, on
+    :func:`_terms` of the batch.  One |K| serves the L1 value and the
+    elementwise phase.  Returns (float, kN x N array or None)."""
     n = stack.shape[1]
     blocks = stack.reshape(-1, n, n)
-    mod = np.abs(stack)
+    mod = np.abs(blocks)
     value = lam * float(mod.sum())
     grad = None
     if with_grad:
-        grad = lam * np.divide(stack, mod, out=np.zeros_like(stack),
-                               where=mod >= _SIGN_EPS)
-    forward = _residual(blocks, tomogram, batch)
-    if forward is not None:
-        res, phi, factors, meas = forward
-        value += float(np.sum(res ** 2))
+        grad = np.divide(blocks, mod, out=np.zeros_like(blocks),
+                         where=mod >= _SIGN_EPS)
+        grad *= lam
+    if terms is not None:
+        factors, pull, meas, d = terms
+        res, phi = factored_expectations(blocks, factors, meas, d.ndim == 1)
+        res -= d                                    # e - d, in place
+        value += float((res * res).sum())
         if with_grad:
-            grad -= 2.0 * factored_pullback(phi, factors, meas, res,
-                                            batch is not None).reshape(-1, n)
-    return value, grad
+            grad += factored_pullback(phi, pull, meas, res, d.ndim == 1)
+    return value, None if grad is None else grad.reshape(-1, n)
 
 
 def value_and_grad(kraus, tomogram, batch=None, lam=1e-3):
     """The loss and its conjugate (Wirtinger) gradient from one forward pass.
 
-    The loss is the squared-residual sum over the batch plus lam * sum of
-    entry moduli; batch is an iterable of (i, j) index pairs, None meaning
-    all entries.  Gradient block l is -2 sum_i W_i K_l rho_i + lam *
-    sign(K_l), with W_i = sum_j r_ij M_j (r the residual, sign the
-    elementwise phase, 0 at 0); it reuses the forward pass's K_l A_i.
-    Returns (float, kN x N array).
+    The loss is the squared-residual sum over the batch (an iterable of
+    (i, j) index pairs, None meaning all entries) plus lam * sum of entry
+    moduli.  Gradient block l is -2 sum_i W_i K_l rho_i + lam * sign(K_l),
+    with W_i = sum_j r_ij M_j (r the residual, sign the elementwise phase,
+    0 at 0).  Returns (float, kN x N array).
     """
-    return _objective(kraus.stacked, tomogram, batch, lam, True)
+    return _objective(kraus.stacked, _terms(tomogram, batch), lam, True)
 
 
 def loss(kraus, tomogram, batch=None, lam=1e-3):
@@ -156,7 +153,7 @@ def loss(kraus, tomogram, batch=None, lam=1e-3):
 
     batch is an iterable of (i, j) index pairs; None means all entries.
     """
-    return _objective(kraus.stacked, tomogram, batch, lam, False)[0]
+    return _objective(kraus.stacked, _terms(tomogram, batch), lam, False)[0]
 
 
 def wirtinger_gradient(kraus, tomogram, batch=None, lam=1e-3):
@@ -187,16 +184,15 @@ def cayley_step(kraus, grad, eta):
 
 
 def _cayley(stack, grad, eta):
-    """:func:`cayley_step` on a raw kN x N stack known to be TP.
-
-    B^dag K is the right half of B^dag A, so one product serves both.
-    """
+    """:func:`cayley_step` on a raw kN x N stack known to be TP; B^dag K is
+    the right half of B^dag A, so one product serves both."""
     n = stack.shape[1]
-    a = np.hstack([grad, stack])
-    bh = np.hstack([stack, -grad]).conj().T
+    a = np.concatenate([grad, stack], axis=1)
+    bh = np.concatenate([stack, -grad], axis=1).conj().T
     bha = bh @ a
-    inner = np.linalg.solve(np.eye(2 * n) + 0.5 * eta * bha, bha[:, n:])
-    return stack - eta * (a @ inner)
+    inner = 0.5 * eta * bha
+    inner.reshape(-1)[::2 * n + 1] += 1.0          # I + eta/2 B^dag A
+    return stack - eta * (a @ np.linalg.solve(inner, bha[:, n:]))
 
 
 def init_kraus(k, dim, rng):
@@ -214,12 +210,11 @@ def fit(tomogram, cfg, init=None):
     evaluations spaced plateau_window iterations apart).
 
     Each iteration makes one forward pass (:func:`value_and_grad`) at the
-    current stack: its value is the loss after the previous step, which
-    is recorded and plateau-checked there, and its gradient drives the
-    next step.  One value-only pass closes the trace after the last step.
-    ``trace.loss[t]`` is the loss after step t on the batch of step t + 1
-    (the full loss in full-batch mode).  The loop runs on the raw kN x N
-    stack; only the result is wrapped in a KrausStack.
+    current stack: its value, the loss after the previous step, is recorded
+    and plateau-checked there, and its gradient drives the next step; one
+    value-only pass closes the trace.  ``trace.loss[t]`` is the loss after
+    step t on the batch of step t + 1 (the full loss in full batch).  The
+    loop runs on the raw kN x N stack; only the result is wrapped.
 
     ``init`` overrides the random starting point; it must be a TP stack
     with cfg.k blocks of the tomogram's dimension.  The TP defect recorded
@@ -242,19 +237,20 @@ def fit(tomogram, cfg, init=None):
     full_batch = (cfg.batch_size is None
                   or cfg.batch_size >= tomogram.num_entries)
     stream = None if full_batch else batch_stream(tomogram, cfg.batch_size, rng)
+    full_terms = _terms(tomogram, None)
     eta = cfg.eta0
     prev_full = None
     for it in range(cfg.max_iters + 1):
         t0 = time.perf_counter()
-        batch = None if full_batch else next(stream)
+        terms = full_terms if full_batch else _terms(tomogram, next(stream))
         last = it == cfg.max_iters
-        value, grad = _objective(stack, tomogram, batch, cfg.lam, not last)
+        value, grad = _objective(stack, terms, cfg.lam, not last)
         if it:
             # value is the loss after the step taken in iteration it - 1
             trace.loss.append(value)
             if it % cfg.plateau_window == 0:
                 full = (value if full_batch else
-                        _objective(stack, tomogram, None, cfg.lam, False)[0])
+                        _objective(stack, full_terms, cfg.lam, False)[0])
                 trace.full_loss.append((it, full))
                 if prev_full is not None:
                     rel = abs(prev_full - full) / max(abs(full), 1e-300)
@@ -264,18 +260,24 @@ def fit(tomogram, cfg, init=None):
                 prev_full = full
         if last:
             break
+        t1 = time.perf_counter()
         gnorm = float(np.linalg.norm(grad))
         if gnorm < cfg.grad_norm_floor:
             trace.stop_reason = "gradient_floor"
             break
         stack = _cayley(stack, grad / gnorm, eta)
+        t2 = time.perf_counter()
         defect = tp_defect(stack)
         if defect > VALID_TOL:
             raise ValueError(f"step {it} left the orthonormal (TP) manifold: "
                              f"tp_defect {defect:.3e}")
+        t3 = time.perf_counter()
         trace.grad_norm.append(gnorm)
         trace.eta.append(eta)
         trace.tp_defect.append(defect)
+        trace.pass_time_s.append(t1 - t0)
+        trace.cayley_time_s.append(t2 - t1)
+        trace.tp_check_time_s.append(t3 - t2)
         trace.iter_time_s.append(time.perf_counter() - t0)
         trace.n_iters = it + 1
         eta *= cfg.decay

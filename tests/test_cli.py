@@ -280,6 +280,8 @@ class TestReconstruct:
         assert trace["eta"][0] == 0.2
         assert trace["eta"][-1] == pytest.approx(0.2 * 0.9 ** 19, rel=1e-12)
         assert min(trace["grad_norm"]) > 0
+        for phase in ("pass_time_s", "cayley_time_s", "tp_check_time_s"):
+            assert len(trace[phase]) == len(trace["iter_time_s"]) == 20
 
     def test_negative_iterations_exit_2(self, dv_dataset, capsys):
         code = main(["reconstruct", "--method", "gd", "--data",

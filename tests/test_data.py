@@ -218,13 +218,14 @@ class TestSaveLoad:
 
 class TestMaterializeProbes:
     def test_pauli_matches_ensemble_order(self, ensemble):
-        ops = materialize_probes({"type": "pauli", "n_qubits": 2}, 4)
+        ops, factors = materialize_probes({"type": "pauli", "n_qubits": 2}, 4)
+        assert factors is None
         assert ops.shape == (36, 4, 4)
         assert np.array_equal(ops, np.array(ensemble.measurements))
 
     def test_pauli_indices_decode_labels(self):
-        ops = materialize_probes({"type": "pauli", "n_qubits": 3,
-                                  "indices": [0, 215, 43]}, 8)
+        ops, _ = materialize_probes({"type": "pauli", "n_qubits": 3,
+                                     "indices": [0, 215, 43]}, 8)
         # 43 = 1*36 + 1*6 + 1 in base 6: (x-, x-, x-).
         for op, lab in zip(ops, [("x+",) * 3, ("z-",) * 3, ("x-",) * 3]):
             assert np.array_equal(op, pauli_projector(lab))
@@ -232,10 +233,12 @@ class TestMaterializeProbes:
     def test_grids_match_cv_builders(self):
         grid = CvGrid(-1, 1, -1, 1, 2, 3)
         pts = grid.points
-        coh = materialize_probes({"type": "coherent_grid",
-                                  "grid": grid.to_dict(), "indices": [4, 1]}, 6)
-        par = materialize_probes({"type": "displaced_parity_grid",
-                                  "grid": grid.to_dict()}, 6)
+        coh, _ = materialize_probes({"type": "coherent_grid",
+                                     "grid": grid.to_dict(),
+                                     "indices": [4, 1]}, 6)
+        par, factors = materialize_probes({"type": "displaced_parity_grid",
+                                           "grid": grid.to_dict()}, 6)
+        assert factors is None
         assert np.array_equal(coh, [coherent_state(pts[4], 6).mat,
                                     coherent_state(pts[1], 6).mat])
         assert np.array_equal(par, [displaced_parity(b, 6) for b in pts])
@@ -243,7 +246,7 @@ class TestMaterializeProbes:
     def test_explicit_shape_checked(self):
         mats = complex_to_json(np.eye(2)[None])
         assert materialize_probes({"type": "explicit", "matrices": mats},
-                                  2).shape == (1, 2, 2)
+                                  2)[0].shape == (1, 2, 2)
         with pytest.raises(SchemaError, match="dim 3"):
             materialize_probes({"type": "explicit", "matrices": mats}, 3)
 
@@ -299,7 +302,7 @@ class TestMaterializeProbes:
         grid = {"type": kind, "grid": CvGrid(-1, 1, -1, 1, 5, 10).to_dict()}
         tracemalloc.start()
         try:
-            ops = materialize_probes(grid, dim)
+            ops = materialize_probes(grid, dim)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -310,8 +313,9 @@ class TestMaterializeProbes:
                                dim)
 
     def test_selected_entries_pass_the_guard(self):
-        ops = materialize_probes({"type": "pauli", "n_qubits": 6,
-                                  "indices": list(range(0, 6 ** 6, 997))}, 64)
+        ops, _ = materialize_probes({"type": "pauli", "n_qubits": 6,
+                                     "indices": list(range(0, 6 ** 6, 997))},
+                                    64)
         assert ops.shape == (47, 64, 64)
 
 
@@ -357,7 +361,7 @@ class TestSynthLoadRoundTrip:
             id="dv2"),
         pytest.param(
             ("--kind", "cv", "--dim", "8", "--seed", "5"),
-            "12e00bb0a73eeefeea81a22571e70a28a48500505d074902c2335568b1e94e8d",
+            "7ae8d1d6c887a28a6122ca6cef1ce8bfba7a957da775179ce18febd48fe98dc5",
             id="cv8"),
     ])
     def test_golden_data(self, tmp_path, args, digest):

@@ -7,10 +7,11 @@ import pytest
 
 from dense_oracle import dense_expectations, dense_value_and_grad
 from kraustomo import cv
+from kraustomo import data as data_module
 from kraustomo.cli import EXIT_USAGE, main
 from kraustomo.core import (factor_states, factored_expectations,
                             factored_pullback, real_observables)
-from kraustomo.data import (Tomogram, complex_to_json, expectations,
+from kraustomo.data import (Tomogram, complex_to_json, expectations, load,
                             materialize_probes, subsample, synthesize)
 from kraustomo.dv import pauli_projectors, random_process
 from kraustomo.gd import init_kraus, value_and_grad
@@ -41,9 +42,8 @@ def _explicit_probes(kind, dim, count, rng):
 def _cv_stacks(dim, half_width, points):
     grid = cv.CvGrid(-half_width, half_width, -half_width, half_width,
                      points, points).to_dict()
-    return (materialize_probes({"type": "coherent_grid", "grid": grid}, dim),
-            materialize_probes({"type": "displaced_parity_grid",
-                                "grid": grid}, dim))
+    return tuple(materialize_probes({"type": kind, "grid": grid}, dim)[0]
+                 for kind in ("coherent_grid", "displaced_parity_grid"))
 
 
 # name -> (tomogram builder, k, expected factor rank R)
@@ -61,15 +61,20 @@ def _setting(name):
         process = cv.snap_displace_process(1.0, cv.DEFAULT_PHASES, dim)
         return synthesize(process, probes, meas, 1e-2, rng), 3, 1
     kind = name.split("-")[1]
-    probes = _explicit_probes(kind, 4, 6, rng)
+    subsampled = name.endswith("-subsampled")
+    probes = _explicit_probes(kind, 4, 12 if subsampled else 6, rng)
     process = random_process(4, 3, rng)
     meas = pauli_projectors(2)
     rank = 2 if kind == "rank2" else 4
-    return synthesize(process, probes, meas, 1e-2, rng), 2, rank
+    tomogram = synthesize(process, probes, meas, 1e-2, rng)
+    if subsampled:      # R > 1 factors that are fancy-indexed copies
+        tomogram = subsample(tomogram, 0.5, rng)
+    return tomogram, 2, rank
 
 
 SETTINGS = ["dv1", "dv2", "dv3", "cv8", "cv16", "cv32", "explicit-rank2",
-            "explicit-full", "explicit-indefinite"]
+            "explicit-rank2-subsampled", "explicit-full",
+            "explicit-indefinite"]
 BATCHES = {"full": None, "repeated-pair": [(0, 1), (3, 2), (0, 1), (5, 0)],
            "empty": []}
 
@@ -97,6 +102,44 @@ class TestFactorStates:
         with pytest.warns(UserWarning):
             probes, _ = _cv_stacks(32, 2.5, 10)
         assert factor_states(probes)[0].shape == (100, 32, 1)
+
+    @pytest.mark.parametrize("dim, half_width", [(8, 0.9), (16, 1.4),
+                                                 (32, 2.0)])
+    def test_coherent_kets_match_the_eigh_factors(self, dim, half_width):
+        # The kets a coherent grid is built from serve as its factors
+        # (R = 1, S = 1); U = Re sigma + Im sigma is e against T = I.
+        grid = cv.CvGrid(-half_width, half_width, -half_width, half_width,
+                         5, 4).to_dict()
+        probes, (kets, signs) = materialize_probes(
+            {"type": "coherent_grid", "grid": grid}, dim)
+        assert kets.shape == (20, dim, 1) and (signs == 1).all()
+        assert np.abs(kets * kets.swapaxes(1, 2).conj() - probes).max() \
+            <= 1e-15
+        blocks = init_kraus(3, dim, np.random.default_rng(7)).blocks
+        ident = np.eye(dim * dim)
+        u, phi = factored_expectations(blocks, (kets, signs), ident)
+        want, want_phi = factored_expectations(blocks, factor_states(probes),
+                                               ident)
+        assert np.abs(u - want).max() <= RTOL * np.abs(want).max()
+        coeffs = np.random.default_rng(8).normal(size=u.shape)
+        got = factored_pullback(phi, (kets, signs), ident, coeffs)
+        want = factored_pullback(want_phi, factor_states(probes), ident,
+                                 coeffs)
+        assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
+
+    def test_load_factors_coherent_probes_from_their_kets(self, tmp_path,
+                                                          monkeypatch):
+        path = tmp_path / "cv.json"
+        assert main(["synth", "--kind", "cv", "--dim", "8", "--out",
+                     str(path)]) == 0
+        def fail(states):
+            raise AssertionError("coherent probes were eigendecomposed")
+        monkeypatch.setattr(data_module, "factor_states", fail)
+        tomogram = load(path)
+        amps, signs = tomogram.probe_factors
+        assert amps.shape == (100, 8, 1) and (signs == 1).all()
+        rebuilt = amps * amps.swapaxes(1, 2).conj()
+        assert np.abs(rebuilt - tomogram.probes).max() <= 1e-15
 
     def test_lower_rank_states_are_padded(self, rng):
         states = np.array([_pure(3, rng), np.eye(3) / 3, np.zeros((3, 3))])

@@ -397,12 +397,28 @@ class TestFitStops:
             want = np.linalg.norm(value_and_grad(start, tomogram)[1])
             assert trace.grad_norm[t] == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("cfg", [
+        GdConfig(k=2, max_iters=30, seed=1),
+        GdConfig(k=2, max_iters=200, seed=1, grad_norm_floor=0.05),
+        GdConfig(k=2, max_iters=45, seed=1, batch_size=10),
+    ], ids=["max_iters", "gradient_floor", "minibatch"])
+    def test_phase_times_per_step(self, cfg):
+        _, trace = fit(_golden_tomogram(), cfg)
+        phases = (trace.pass_time_s, trace.cayley_time_s,
+                  trace.tp_check_time_s)
+        assert [len(p) for p in phases] == [trace.n_iters] * 3
+        assert len(trace.iter_time_s) == trace.n_iters
+        for t, total in enumerate(trace.iter_time_s):
+            parts = [p[t] for p in phases]
+            assert min(parts) >= 0 and sum(parts) <= total
+
     def test_no_iterations(self):
         tomogram = _golden_tomogram()
         _, trace = fit(tomogram, GdConfig(k=2, max_iters=0, seed=1))
         assert trace.n_iters == 0
         assert trace.loss == [] and trace.full_loss == []
         assert trace.grad_norm == [] and trace.eta == []
+        assert trace.pass_time_s == trace.cayley_time_s == []
         assert trace.stop_reason == "max_iters"
 
     def test_golden_full_batch_fit(self):
