@@ -8,7 +8,6 @@ sweep-value index.  Rows go to CSV; per-point mean/std summaries to JSON.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import time
@@ -67,17 +66,6 @@ def _infidelity(truth_choi, est_choi):
     return process_fidelity(truth_choi, est_choi).infidelity
 
 
-@functools.cache
-def _ensemble(n):
-    """The full Pauli set, the sweep's probes and measurements alike.
-
-    Read-only, since every cell of the process shares the cached stack.
-    """
-    ops = pauli_projectors(n)
-    ops.flags.writeable = False
-    return ops
-
-
 def _row(value, seed, method, k, infid, iters, wall, error=""):
     return {"sweep_value": value, "seed": seed, "method": method, "k": k,
             "infidelity": infid, "iterations": iters, "wall_time_s": wall,
@@ -112,7 +100,7 @@ def _reconstruct_rows(spec, value, seed, tomogram, truth_choi):
 
 
 def _noise_cell(spec, idx, eps, seed):
-    ops = _ensemble(spec.n_qubits)
+    ops = pauli_projectors(spec.n_qubits)
     process = random_process(2 ** spec.n_qubits, spec.rank,
                              np.random.default_rng([seed, 1000]))
     tomogram = synthesize(process, ops, ops, eps,
@@ -122,7 +110,7 @@ def _noise_cell(spec, idx, eps, seed):
 
 
 def _gamma_cell(spec, idx, gamma, seed):
-    ops = _ensemble(spec.n_qubits)
+    ops = pauli_projectors(spec.n_qubits)
     process = random_process(2 ** spec.n_qubits, spec.rank,
                              np.random.default_rng([seed, 1000]))
     # One noisy dataset per seed, shared across the gamma grid.
@@ -144,7 +132,8 @@ def _timing_cell(spec, idx, n, seed):
     k = spec.kraus[0] if spec.kraus else 3
     cfg = _gd_config(spec, k, seed, batch_size=256, max_iters=6)
     _, trace = fit(tomogram, cfg)
-    # First iteration pays one-time einsum-path costs; time the rest.
+    # The first iteration runs cold (first allocations, cold caches); time
+    # the rest.
     gd_time = float(np.mean(trace.iter_time_s[1:]))
     rows = [_row(n, seed, "gd", k, math.nan, trace.n_iters, gd_time)]
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -125,14 +126,7 @@ def _reconstruct(args, tomogram):
             "method": "gd",
             "config": cfg.to_dict(),
             "kraus": [data.complex_to_json(k) for k in est.blocks],
-            "trace": {"loss": trace.loss, "grad_norm": trace.grad_norm,
-                      "eta": trace.eta, "tp_defect": trace.tp_defect,
-                      "iter_time_s": trace.iter_time_s,
-                      "pass_time_s": trace.pass_time_s,
-                      "cayley_time_s": trace.cayley_time_s,
-                      "tp_check_time_s": trace.tp_check_time_s,
-                      "stop_reason": trace.stop_reason,
-                      "n_iters": trace.n_iters},
+            "trace": dataclasses.asdict(trace),
             "wall_time_s": time.perf_counter() - t0,
         }
         _print_and_store_fidelity(doc, tomogram, kraus_to_choi(est))
@@ -187,7 +181,8 @@ def cmd_fidelity(args):
 
 def cmd_benchmark(args):
     spec = bench.SweepSpec.from_json(args.spec)
-    rows, summary = bench.run_benchmark(spec, args.out_csv, args.out_json)
+    with _claimed(args.out_csv, args.out_json):
+        rows, summary = bench.run_benchmark(spec, args.out_csv, args.out_json)
     failed = sum(1 for r in rows if r["method"] == "error")
     print(f"{len(rows)} rows -> {args.out_csv} ({failed} failed cells), "
           f"summary -> {args.out_json}")

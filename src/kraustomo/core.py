@@ -10,11 +10,12 @@ Conventions used throughout the package:
 Tolerances are module constants.
 
 The forward model: every state stack is factored once, rho_i = A_i S_i
-A_i^dag (:func:`factor_states`; R = 1 for the pure Pauli and coherent
-probes), every Hermitian observable stack is flattened once to the real
-(Q, N^2) matrix T_j = Re M_j + Im M_j (:func:`real_observables`), and
-expectations Tr[M_j sum_l K_l rho_i K_l^dag] are computed from phi_li =
-K_l A_i and T (:func:`factored_expectations`), as is their gradient
+A_i^dag (:func:`factor_states`; the pure Pauli and coherent probes are
+built from their kets, which are their factors with R = 1), every
+Hermitian observable stack is flattened once to the real (Q, N^2) matrix
+T_j = Re M_j + Im M_j (:func:`real_observables`), and expectations
+Tr[M_j sum_l K_l rho_i K_l^dag] are computed from phi_li = K_l A_i and T
+(:func:`factored_expectations`), as is their gradient
 (:func:`factored_pullback`).  Synthesis, the GD loss and the GD gradient
 all run on it.  It is probe-major: phi is one product of the (P R, N)
 probe rows with the Kraus blocks, laid out (P, N, k R), and the arrays
@@ -243,7 +244,11 @@ def factored_pullback(phi, factors, obs_real, coeffs, paired=False):
 
 def channel_expectations(blocks, states, observables):
     """e[i, j] = Tr[M_j sum_l K_l rho_i K_l^dag] by factoring the states and
-    flattening the observables for :func:`factored_expectations`."""
+    flattening the observables for :func:`factored_expectations`.
+
+    The package does not call it; the benchmark's tracer (perfbench) names
+    it, and its self-test fails when a named function is absent.
+    """
     return factored_expectations(blocks, factor_states(states),
                                  real_observables(observables))[0]
 

@@ -14,8 +14,8 @@ import json
 
 import numpy as np
 
-from .core import (DensityMatrix, KrausStack, channel_expectations,
-                   factor_states, factored_expectations, real_observables)
+from .core import (DensityMatrix, KrausStack, factor_states,
+                   factored_expectations, real_observables)
 from . import cv, dv
 
 SCHEMA_VERSION = 1
@@ -63,8 +63,8 @@ class Tomogram:
     ``probe_factors``, the probes' factorization
     (:func:`core.factor_states`), and ``meas_real``, the measurements' real
     (Q, N^2) form (:func:`core.real_observables`).  Both are computed here
-    unless the caller already holds them (synthesis, subsampling, coherent
-    probes built from their kets); probes and measurements must be
+    unless the caller already holds them (synthesis, subsampling, Pauli and
+    coherent probes built from their kets); probes and measurements must be
     Hermitian.
     """
 
@@ -103,12 +103,6 @@ class Tomogram:
     @property
     def num_entries(self):
         return self.data.size
-
-
-def expectations(process, probes, measurements):
-    """Noiseless data matrix: d[i, j] = Tr[M_j sum_l K_l rho_i K_l^dag]."""
-    return channel_expectations(process.blocks, _stack_states(probes),
-                                _stack_states(measurements))
 
 
 def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
@@ -231,17 +225,25 @@ def _indices(spec, size):
     return idx
 
 
+def _pure_states(kets):
+    """The projectors |k><k| of (P, N) kets, and the kets as their factors
+    (A, S) with R = 1 and S = 1 (see :func:`core.factor_states`)."""
+    kets = kets[:, :, None]
+    return (kets * kets.swapaxes(1, 2).conj(),
+            (kets, np.ones((len(kets), 1))))
+
+
 def materialize_probes(spec, dim):
     """The stacked (P, N, N) operators of an explicit, pauli, coherent_grid
     or displaced_parity_grid descriptor, and their factors where the build
     gives them.
 
-    Returns (stack, factors): for a coherent grid, factors are the kets
-    the projectors are built from, as (A, S) with R = 1 and S = 1 (see
-    :func:`core.factor_states`); for the other types, None.  The one
-    place a descriptor is validated: a malformed field, an index out of
-    range, 2**n_qubits != dim or an unknown type is a SchemaError, and a
-    stack too large to build in memory a MemoryError.
+    Returns (stack, factors): for Pauli states and a coherent grid, factors
+    are the kets the projectors are built from (:func:`_pure_states`); for
+    the other types, None.  The one place a descriptor is validated: a
+    malformed field, an index out of range, 2**n_qubits != dim or an
+    unknown type is a SchemaError, and a stack too large to build in
+    memory a MemoryError.
     """
     kind = expect_object(spec, "a probe/measurement descriptor").get("type")
     try:
@@ -256,7 +258,7 @@ def materialize_probes(spec, dim):
             if not (isinstance(n, int) and n == int(dim).bit_length() - 1
                     and 2 ** n == dim):
                 raise SchemaError(f"n_qubits {n!r} does not match dim {dim}")
-            return dv.pauli_projectors(n, _indices(spec, 6 ** n)), None
+            return _pure_states(dv.pauli_kets(n, _indices(spec, 6 ** n)))
         if kind in ("coherent_grid", "displaced_parity_grid"):
             pts = cv.CvGrid.from_dict(spec["grid"]).points
             idx = _indices(spec, len(pts))
@@ -268,9 +270,7 @@ def materialize_probes(spec, dim):
                     f"a {kind} of {len(pts)} points at dim {dim} needs more "
                     f"than {_MAX_GRID_BYTES >> 30} GiB")
             if kind == "coherent_grid":
-                kets = cv.coherent_ket(pts, dim)[:, :, None]
-                return (kets * kets.swapaxes(1, 2).conj(),
-                        (kets, np.ones((len(kets), 1))))
+                return _pure_states(cv.coherent_ket(pts, dim))
             return cv.displaced_parity(pts, dim), None
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed {kind} descriptor: {exc}") from exc

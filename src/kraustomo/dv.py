@@ -16,14 +16,9 @@ PAULI_LABELS = ("x+", "x-", "y+", "y-", "z+", "z-")
 # Memory guard for a stack of Pauli projectors: P * 4^n * 16 bytes.
 _MAX_ENSEMBLE_BYTES = 2 << 30
 
-_KETS = {
-    "x+": np.array([1, 1], dtype=complex) / np.sqrt(2),
-    "x-": np.array([1, -1], dtype=complex) / np.sqrt(2),
-    "y+": np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    "y-": np.array([1, -1j], dtype=complex) / np.sqrt(2),
-    "z+": np.array([1, 0], dtype=complex),
-    "z-": np.array([0, 1], dtype=complex),
-}
+# Single-qubit eigenstate kets, rows in PAULI_LABELS order (z rows exact).
+_KETS = np.array([[1, 1], [1, -1], [1, 1j], [1, -1j], [np.sqrt(2), 0],
+                  [0, np.sqrt(2)]]) / np.sqrt(2)
 
 
 class PauliEnsemble:
@@ -49,16 +44,18 @@ def pauli_projector(labels):
     """Tensor product of single-qubit eigenstate projectors for a label tuple."""
     ket = np.array([1.0 + 0j])
     for lab in labels:
-        ket = np.kron(ket, _KETS[lab])
+        ket = np.kron(ket, _KETS[PAULI_LABELS.index(lab)])
     return np.outer(ket, ket.conj())
 
 
-def pauli_projectors(n, indices=None):
-    """Stacked (P, 2^n, 2^n) projectors for indices into the 6^n label order.
+def pauli_kets(n, indices=None):
+    """Stacked (P, 2^n) kets for indices into the 6^n label order.
 
-    indices default to all.  Labels are decoded per index, so the 6^n list
-    is never built; a stack too large for memory (counted on the selected
-    entries) raises MemoryError instead.
+    indices default to all.  The kets are built as a Kronecker product, one
+    qubit at a time: each multiplies in the (6, 2) single-qubit table, row
+    chosen by that qubit's base-6 digit of the index.  A selection whose
+    projector stack (P * 4^n * 16 bytes) is too large for memory raises
+    MemoryError before anything is allocated.
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
@@ -67,10 +64,19 @@ def pauli_projectors(n, indices=None):
         raise MemoryError(
             f"the selected Pauli projectors for n={n} need more than "
             f"{_MAX_ENSEMBLE_BYTES >> 30} GiB; select fewer indices")
-    out = np.empty((count, 2 ** n, 2 ** n), dtype=complex)
-    for p, i in enumerate(range(count) if indices is None else indices):
-        out[p] = pauli_projector(pauli_label(i, n))
-    return out
+    digits = np.unravel_index(np.arange(count) if indices is None
+                              else np.asarray(indices, dtype=int), (6,) * n)
+    kets = np.ones((count, 1), dtype=complex)
+    for digit in digits:
+        kets = (kets[:, :, None] * _KETS[digit][:, None, :]).reshape(
+            count, 2 * kets.shape[1])
+    return kets
+
+
+def pauli_projectors(n, indices=None):
+    """Stacked (P, 2^n, 2^n) projectors |k><k| of :func:`pauli_kets`."""
+    kets = pauli_kets(n, indices)
+    return kets[:, :, None] * kets[:, None, :].conj()
 
 
 def pauli_ensemble(n):

@@ -216,13 +216,17 @@ def fit(tomogram, cfg, init=None):
     step t on the batch of step t + 1 (the full loss in full batch).  The
     loop runs on the raw kN x N stack; only the result is wrapped.
 
-    ``init`` overrides the random starting point; it must be a TP stack
-    with cfg.k blocks of the tomogram's dimension.  The TP defect recorded
-    after each step is the check the next step relies on: above 1e-8 the
-    fit raises ValueError, as :func:`cayley_step` does.
+    cfg.k above N^2, the largest Choi rank, raises ValueError.  ``init``
+    overrides the random starting point; it must be a TP stack with cfg.k
+    blocks of the tomogram's dimension.  The TP defect recorded after each
+    step is the check the next step relies on: above 1e-8 the fit raises
+    ValueError, as :func:`cayley_step` does.
 
     Returns (KrausStack, FitTrace).
     """
+    if cfg.k > tomogram.dim ** 2:
+        raise ValueError(f"k = {cfg.k} exceeds the Choi rank bound "
+                         f"N^2 = {tomogram.dim ** 2}")
     rng = np.random.default_rng(cfg.seed)
     if init is None:
         init = init_kraus(cfg.k, tomogram.dim, rng)

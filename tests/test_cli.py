@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import time
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from kraustomo import data as data_module
-from kraustomo import gd, pls
+from kraustomo import bench, gd, pls
 from kraustomo.cli import (EXIT_INCOMPATIBLE, EXIT_NUMERICAL, EXIT_OK,
                            EXIT_USAGE, main)
 from kraustomo.core import ChoiMatrix
@@ -283,6 +284,25 @@ class TestReconstruct:
         for phase in ("pass_time_s", "cayley_time_s", "tp_check_time_s"):
             assert len(trace[phase]) == len(trace["iter_time_s"]) == 20
 
+    def test_gd_trace_has_every_fit_trace_field(self, dv_dataset, tmp_path):
+        out = tmp_path / "est.json"
+        assert main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--kraus", "2", "--iters", "20",
+                     "--out", str(out)]) == EXIT_OK
+        trace = json.loads(out.read_text())["trace"]
+        assert set(trace) == {f.name for f in dataclasses.fields(gd.FitTrace)}
+        # One full-batch plateau check, every plateau_window = 20 steps.
+        assert trace["full_loss"] == [[20, trace["loss"][19]]]
+
+    def test_kraus_above_the_choi_rank_exits_2(self, dv_dataset, tmp_path,
+                                               capsys):
+        out = tmp_path / "est.json"
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--kraus", "5", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "N^2 = 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_iterations_exit_2(self, dv_dataset, capsys):
         code = main(["reconstruct", "--method", "gd", "--data",
                      str(dv_dataset), "--iters", "-3"])
@@ -408,6 +428,27 @@ class TestBenchmarkCommand:
                      str(tmp_path / "s.json")])
         assert code == EXIT_USAGE
         assert match in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", ["--out-csv", "--out-json"])
+    def test_bad_out_fails_before_the_sweep(self, tmp_path, capsys,
+                                            monkeypatch, bad):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"sweep": "noise", "values": [1e-2],
+                                    "seeds": [0]}))
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before its outputs were "
+                                 "checked")
+        monkeypatch.setattr(bench, "run_sweep", no_sweep)
+        outs = {"--out-csv": tmp_path / "r.csv",
+                "--out-json": tmp_path / "s.json"}
+        outs[bad] = tmp_path / "nowhere" / "out"
+        code = main(["benchmark", "--spec", str(spec),
+                     *(str(x) for pair in outs.items() for x in pair)])
+        assert code == EXIT_USAGE
+        assert "nowhere" in capsys.readouterr().err
+        # A file claimed before the failing one is removed again.
+        assert not any(path.exists() for path in outs.values())
 
     def test_missing_spec_exits_2(self, tmp_path, capsys):
         code = main(["benchmark", "--spec", str(tmp_path / "absent.json"),

@@ -12,7 +12,7 @@ from kraustomo.cli import main
 from kraustomo.core import KrausStack, kraus_to_choi
 from kraustomo.cv import CvGrid, coherent_state, displaced_parity
 from kraustomo.data import (SchemaError, Tomogram, batches, complex_from_json,
-                            complex_to_json, export_csv, expectations, load,
+                            complex_to_json, export_csv, load,
                             materialize_probes, predict_from_choi, save,
                             sensing_matrix, subsample, synthesize)
 from kraustomo.dv import pauli_ensemble, pauli_projector, random_process
@@ -69,7 +69,8 @@ class TestSynthesize:
 
     def test_noise_statistics(self, ensemble, rng):
         process = random_process(4, 16, rng)
-        clean = expectations(process, ensemble.probes, ensemble.measurements)
+        clean = synthesize(process, ensemble.probes, ensemble.measurements,
+                           0.0).data
         noisy = synthesize(process, ensemble.probes, ensemble.measurements,
                            1e-2, rng)
         delta = noisy.data - clean
@@ -150,8 +151,8 @@ class TestSensingMatrix:
         process = random_process(4, 5, rng)
         s = sensing_matrix(ensemble.probes, ensemble.measurements)
         via_choi = predict_from_choi(s, kraus_to_choi(process))
-        direct = expectations(process, ensemble.probes,
-                              ensemble.measurements).ravel()
+        direct = synthesize(process, ensemble.probes, ensemble.measurements,
+                            0.0).data.ravel()
         assert np.abs(via_choi - direct).max() <= 1e-10
 
     def test_predictions_are_real(self, ensemble, rng):
@@ -218,10 +219,13 @@ class TestSaveLoad:
 
 class TestMaterializeProbes:
     def test_pauli_matches_ensemble_order(self, ensemble):
-        ops, factors = materialize_probes({"type": "pauli", "n_qubits": 2}, 4)
-        assert factors is None
+        ops, (kets, signs) = materialize_probes({"type": "pauli",
+                                                 "n_qubits": 2}, 4)
         assert ops.shape == (36, 4, 4)
         assert np.array_equal(ops, np.array(ensemble.measurements))
+        # The kets the projectors are built from are their factors.
+        assert kets.shape == (36, 4, 1) and (signs == 1).all()
+        assert np.array_equal(kets * kets.swapaxes(1, 2).conj(), ops)
 
     def test_pauli_indices_decode_labels(self):
         ops, _ = materialize_probes({"type": "pauli", "n_qubits": 3,
@@ -348,8 +352,9 @@ class TestSynthLoadRoundTrip:
         assert np.array_equal(back.data, tomo.data)
 
     # SHA-256 of the little-endian float64 data matrix, computed with the
-    # factored forward model on real measurements (T = Re M + Im M) and,
-    # for cv8, one eigh per CV builder call.
+    # factored forward model on real measurements (T = Re M + Im M), the
+    # probes factored by their kets and, for cv8, one eigh per CV builder
+    # call.
     # test_golden_commands_match_dense_oracle bounds both commands' data
     # against the dense model and the per-point CV builders.  The case ids
     # name the dataset, not the digest, so a re-pin keeps them.
@@ -357,7 +362,7 @@ class TestSynthLoadRoundTrip:
         pytest.param(
             ("--kind", "dv", "--qubits", "2", "--rank", "16", "--noise",
              "1e-2", "--seed", "3"),
-            "83a38e329e1e39eade1f19b19fd5fbccd6bcd9356260910144b03445d97c44a3",
+            "c9616021ec07cd0bed30637ba1167acae0e995dbb514f0800905fd15d738db36",
             id="dv2"),
         pytest.param(
             ("--kind", "cv", "--dim", "8", "--seed", "5"),

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from kraustomo.core import apply_kraus, tp_defect
-from kraustomo.dv import (PAULI_LABELS, pauli_ensemble, pauli_label,
-                          pauli_projector, pauli_projectors, random_process,
-                          random_unitary)
+from kraustomo.dv import (PAULI_LABELS, pauli_ensemble, pauli_kets,
+                          pauli_label, pauli_projector, pauli_projectors,
+                          random_process, random_unitary)
 
 
 class TestPauliProjector:
@@ -89,6 +89,24 @@ class TestPauliProjectors:
     def test_indices_select_in_given_order(self):
         ops = pauli_projectors(2, [35, 0, 7])
         assert np.array_equal(ops, pauli_projectors(2)[[35, 0, 7]])
+
+    @pytest.mark.parametrize("n, indices", [(1, None), (2, None), (3, None),
+                                            (3, [215, 0, 43, 43]),
+                                            (5, range(0, 6 ** 5, 97))])
+    def test_every_entry_matches_its_label(self, n, indices):
+        ops = pauli_projectors(n, indices)
+        chosen = range(6 ** n) if indices is None else indices
+        assert len(ops) == len(chosen)
+        for op, i in zip(ops, chosen):
+            assert np.array_equal(op, pauli_projector(pauli_label(i, n)))
+
+    def test_projectors_are_outer_products_of_the_kets(self):
+        kets = pauli_kets(3, [7, 200])
+        assert kets.shape == (2, 8)
+        assert np.abs(np.linalg.norm(kets, axis=1) - 1).max() <= 1e-15
+        assert np.array_equal(pauli_projectors(3, [7, 200]),
+                              kets[:, :, None] * kets[:, None, :].conj())
+        assert pauli_kets(2, []).shape == (0, 4)
 
     def test_guard_counts_selected_entries(self):
         with pytest.raises(MemoryError, match="GiB"):

@@ -11,7 +11,7 @@ from kraustomo import data as data_module
 from kraustomo.cli import EXIT_USAGE, main
 from kraustomo.core import (factor_states, factored_expectations,
                             factored_pullback, real_observables)
-from kraustomo.data import (Tomogram, complex_to_json, expectations, load,
+from kraustomo.data import (Tomogram, complex_to_json, load,
                             materialize_probes, subsample, synthesize)
 from kraustomo.dv import pauli_projectors, random_process
 from kraustomo.gd import init_kraus, value_and_grad
@@ -103,16 +103,12 @@ class TestFactorStates:
             probes, _ = _cv_stacks(32, 2.5, 10)
         assert factor_states(probes)[0].shape == (100, 32, 1)
 
-    @pytest.mark.parametrize("dim, half_width", [(8, 0.9), (16, 1.4),
-                                                 (32, 2.0)])
-    def test_coherent_kets_match_the_eigh_factors(self, dim, half_width):
-        # The kets a coherent grid is built from serve as its factors
-        # (R = 1, S = 1); U = Re sigma + Im sigma is e against T = I.
-        grid = cv.CvGrid(-half_width, half_width, -half_width, half_width,
-                         5, 4).to_dict()
-        probes, (kets, signs) = materialize_probes(
-            {"type": "coherent_grid", "grid": grid}, dim)
-        assert kets.shape == (20, dim, 1) and (signs == 1).all()
+    @staticmethod
+    def _kets_match_the_eigh_factors(probes, kets, signs):
+        # The kets a pure stack is built from serve as its factors (R = 1,
+        # S = 1); U = Re sigma + Im sigma is e against T = I.
+        p, dim = probes.shape[:2]
+        assert kets.shape == (p, dim, 1) and (signs == 1).all()
         assert np.abs(kets * kets.swapaxes(1, 2).conj() - probes).max() \
             <= 1e-15
         blocks = init_kraus(3, dim, np.random.default_rng(7)).blocks
@@ -127,19 +123,46 @@ class TestFactorStates:
                                  coeffs)
         assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
 
+    @pytest.mark.parametrize("dim, half_width", [(8, 0.9), (16, 1.4),
+                                                 (32, 2.0)])
+    def test_coherent_kets_match_the_eigh_factors(self, dim, half_width):
+        grid = cv.CvGrid(-half_width, half_width, -half_width, half_width,
+                         5, 4).to_dict()
+        probes, (kets, signs) = materialize_probes(
+            {"type": "coherent_grid", "grid": grid}, dim)
+        assert len(probes) == 20
+        self._kets_match_the_eigh_factors(probes, kets, signs)
+
+    @pytest.mark.parametrize("spec", [
+        {"type": "pauli", "n_qubits": 1},
+        {"type": "pauli", "n_qubits": 2},
+        {"type": "pauli", "n_qubits": 3},
+        {"type": "pauli", "n_qubits": 4, "indices": list(range(0, 1296, 7))},
+    ], ids=["n1", "n2", "n3", "n4-subset"])
+    def test_pauli_kets_match_the_eigh_factors(self, spec):
+        n = spec["n_qubits"]
+        probes, (kets, signs) = materialize_probes(spec, 2 ** n)
+        assert np.array_equal(probes, pauli_projectors(n, spec.get("indices")))
+        self._kets_match_the_eigh_factors(probes, kets, signs)
+
     def test_load_factors_coherent_probes_from_their_kets(self, tmp_path,
                                                           monkeypatch):
-        path = tmp_path / "cv.json"
-        assert main(["synth", "--kind", "cv", "--dim", "8", "--out",
-                     str(path)]) == 0
+        # Coherent and Pauli probes alike, through synth and load.
         def fail(states):
-            raise AssertionError("coherent probes were eigendecomposed")
+            raise AssertionError("pure probes were eigendecomposed")
         monkeypatch.setattr(data_module, "factor_states", fail)
-        tomogram = load(path)
-        amps, signs = tomogram.probe_factors
-        assert amps.shape == (100, 8, 1) and (signs == 1).all()
-        rebuilt = amps * amps.swapaxes(1, 2).conj()
-        assert np.abs(rebuilt - tomogram.probes).max() <= 1e-15
+        for name, args, shape in [
+                ("cv.json", ("--kind", "cv", "--dim", "8"), (100, 8, 1)),
+                ("dv.json", ("--kind", "dv", "--qubits", "2"), (36, 4, 1)),
+                ("sub.json", ("--kind", "dv", "--qubits", "2", "--gamma",
+                              "0.5"), (25, 4, 1))]:
+            path = tmp_path / name
+            assert main(["synth", *args, "--out", str(path)]) == 0
+            tomogram = load(path)
+            amps, signs = tomogram.probe_factors
+            assert amps.shape == shape and (signs == 1).all()
+            rebuilt = amps * amps.swapaxes(1, 2).conj()
+            assert np.abs(rebuilt - tomogram.probes).max() <= 1e-15
 
     def test_lower_rank_states_are_padded(self, rng):
         states = np.array([_pure(3, rng), np.eye(3) / 3, np.zeros((3, 3))])
@@ -230,8 +253,8 @@ class TestMatchesDenseOracle:
 
     def test_synthesis(self, setting):
         tomogram, _, _ = setting
-        got = expectations(tomogram.truth, tomogram.probes,
-                           tomogram.measurements)
+        got = synthesize(tomogram.truth, tomogram.probes,
+                         tomogram.measurements, 0.0).data
         want = dense_expectations(tomogram.truth.blocks, tomogram.probes,
                                   tomogram.measurements)
         assert np.abs(got - want).max() <= RTOL * np.abs(want).max()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kraustomo import gd as gd_module
 from kraustomo.core import KrausStack, tp_defect
 from kraustomo.data import synthesize
 from kraustomo.dv import pauli_ensemble, random_process
@@ -265,6 +266,18 @@ class TestFit:
         with pytest.raises(ValueError, match="trace-preserving"):
             fit(clean_tomogram, cfg,
                 init=KrausStack(np.stack([np.eye(2), np.eye(2)])))
+
+    def test_rejects_more_blocks_than_the_choi_rank(self, clean_tomogram,
+                                                    monkeypatch):
+        # N = 2: four blocks span every channel, a fifth is refused before
+        # any block is drawn.
+        assert fit(clean_tomogram, GdConfig(k=4, max_iters=1))[0].count == 4
+
+        def no_init(*args):
+            raise AssertionError("blocks were drawn for k > N^2")
+        monkeypatch.setattr(gd_module, "init_kraus", no_init)
+        with pytest.raises(ValueError, match=r"N\^2 = 4"):
+            fit(clean_tomogram, GdConfig(k=5))
 
     def test_minibatch_mode(self, ensemble, rng):
         process = random_process(2, 2, rng)
