@@ -81,14 +81,13 @@ def _synth(args):
         meas_spec = {"type": "displaced_parity_grid",
                      "grid": meas_grid.to_dict()}
     # Built (and validated) before the target, whose cost grows with dim.
-    probes, factors = data.materialize_probes(probe_spec, dim)
-    meas = data.materialize_probes(meas_spec, dim)[0]
+    probes = data.materialize_probes(probe_spec, dim)
+    meas = data.materialize_probes(meas_spec, dim)
     process = (dv.random_process(dim, args.rank, rng) if args.kind == "dv"
                else cv.snap_displace_process(args.alpha, args.theta, dim))
     tomogram = data.synthesize(process, probes, meas, args.noise, rng,
                                kind=args.kind, seed=args.seed,
-                               probe_spec=probe_spec, meas_spec=meas_spec,
-                               probe_factors=factors)
+                               probe_spec=probe_spec, meas_spec=meas_spec)
     if args.gamma is not None:
         tomogram = data.subsample(tomogram, args.gamma, rng)
     data.save(tomogram, args.out)

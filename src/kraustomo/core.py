@@ -43,9 +43,7 @@ class DensityMatrix:
         mat = _as_complex(mat)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"density matrix must be square, got {mat.shape}")
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > EXACT_TOL:
-            raise ValueError(f"not Hermitian: max |M - M^dag| = {herm:.3e}")
+        _hermitian_stack(mat, "a density matrix", "rho")
         tr = mat.trace()
         if abs(tr - 1.0) > EXACT_TOL:
             raise ValueError(f"trace is {tr}, expected 1")
@@ -130,10 +128,10 @@ class ProcessMetric:
 
 
 def _hermitian_stack(ops, what, symbol):
-    """ops as an array, or ValueError if any of them is not Hermitian."""
+    """ops as an array; ValueError if any is not Hermitian or holds a NaN."""
     ops = np.asarray(ops)
     herm = np.max(np.abs(ops - ops.conj().swapaxes(-1, -2)), initial=0.0)
-    if herm > EXACT_TOL:
+    if not herm <= EXACT_TOL:
         raise ValueError(f"{what} must be Hermitian: max |{symbol} - "
                          f"{symbol}^dag| = {herm:.3e}")
     return ops

@@ -1,9 +1,9 @@
 """Tomogram synthesis, subsampling, batching, sensing matrices, and file I/O.
 
-A tomogram bundles probes, measurement operators, the (noisy) expectation
-data d[i, j], and provenance metadata.  Files are single JSON documents
-with a mandatory schema_version; complex matrices are stored as nested
-arrays of [re, im] pairs.
+A tomogram bundles probes and measurements in the forward model's forms,
+the (noisy) expectation data d[i, j], and provenance metadata.  Files are
+single JSON documents with a mandatory schema_version; complex matrices
+are stored as nested arrays of [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -55,50 +55,72 @@ def _stack_states(states):
     return np.ascontiguousarray(mats)
 
 
+def _forms(probes, measurements):
+    """The probe factors (A, S) and the real measurement matrix T of two
+    (P, N, N) stacks, sequences of operators or (P, N) kets of pure states,
+    which are their own factors (R = 1, S = 1)."""
+    rho, meas = _stack_states(probes), _stack_states(measurements)
+    factors = (factor_states(rho) if rho.ndim == 3
+               else (rho[:, :, None], np.ones((len(rho), 1))))
+    if meas.ndim == 2:
+        meas = meas[:, :, None] * meas[:, None, :].conj()
+    return factors, real_observables(meas)
+
+
 class Tomogram:
     """Probes, measurements, data matrix, and metadata for one experiment.
 
-    ``probes`` and ``measurements`` are the dense (P, N, N) and (Q, N, N)
-    stacks, which PLS and file I/O read.  The forward model reads
-    ``probe_factors``, the probes' factorization
-    (:func:`core.factor_states`), and ``meas_real``, the measurements' real
-    (Q, N^2) form (:func:`core.real_observables`).  Both are computed here
-    unless the caller already holds them (synthesis, subsampling, Pauli and
-    coherent probes built from their kets); probes and measurements must be
-    Hermitian.
+    The forward model's forms are all it stores of each side: the probe
+    factors (A, S) of :func:`core.factor_states` (pure probes: their kets)
+    and the real (Q, N^2) measurement matrix T of
+    :func:`core.real_observables`.  ``probes`` and ``measurements`` rebuild
+    the dense stacks on each access.  Data and noise_sigma must be finite.
     """
 
-    def __init__(self, kind, dim, probes, measurements, data, noise_sigma,
-                 seed=None, probe_spec=None, meas_spec=None, truth=None,
-                 probe_factors=None, meas_real=None):
+    def __init__(self, kind, dim, probe_factors, meas_real, data, noise_sigma,
+                 seed=None, probe_spec=None, meas_spec=None, truth=None):
         self.kind = kind
         self.dim = int(dim)
-        self.probes = _stack_states(probes)
-        self.measurements = _stack_states(measurements)
+        amps, signs = probe_factors
         self.data = np.asarray(data, dtype=float)
-        if self.data.shape != (len(self.probes), len(self.measurements)):
+        p, q = len(amps), len(meas_real)
+        if (amps.shape[1:2] != (self.dim,) or self.data.shape != (p, q)
+                or meas_real.shape != (q, self.dim ** 2)):
             raise ValueError(
-                f"data shape {self.data.shape} does not match "
-                f"{len(self.probes)} probes x {len(self.measurements)} measurements")
-        if noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
+                f"probe factors {amps.shape}, measurements {meas_real.shape} "
+                f"and data {self.data.shape} do not match dim {self.dim}")
+        if not 0 <= noise_sigma < np.inf:
+            raise ValueError(f"noise_sigma {noise_sigma} must be finite, >= 0")
+        if not np.isfinite(self.data).all():
+            raise ValueError("data must be finite")
         self.noise_sigma = float(noise_sigma)
         self.seed = seed
         self.probe_spec = probe_spec or {"type": "explicit"}
         self.meas_spec = meas_spec or {"type": "explicit"}
         self.truth = truth
-        self.probe_factors = (factor_states(self.probes)
-                              if probe_factors is None else probe_factors)
-        self.meas_real = (real_observables(self.measurements)
-                          if meas_real is None else meas_real)
+        self.probe_factors = (amps, signs)
+        self.meas_real = meas_real
+
+    @property
+    def probes(self):
+        """The dense (P, N, N) probe stack rho_i = A_i S_i A_i^dag."""
+        amps, signs = self.probe_factors
+        return (amps * signs[:, None, :]) @ amps.conj().swapaxes(1, 2)
+
+    @property
+    def measurements(self):
+        """The dense (Q, N, N) measurement stack: for Hermitian M, Re M =
+        (T + T^T) / 2 and Im M = (T - T^T) / 2."""
+        t = self.meas_real.reshape(-1, self.dim, self.dim)
+        return 0.5 * (t + t.swapaxes(1, 2)) + 0.5j * (t - t.swapaxes(1, 2))
 
     @property
     def num_probes(self):
-        return len(self.probes)
+        return len(self.probe_factors[0])
 
     @property
     def num_measurements(self):
-        return len(self.measurements)
+        return len(self.meas_real)
 
     @property
     def num_entries(self):
@@ -107,27 +129,23 @@ class Tomogram:
 
 def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
                kind="dv", seed=None, probe_spec=None, meas_spec=None,
-               keep_truth=True, probe_factors=None):
+               keep_truth=True):
     """Simulate a tomography experiment with i.i.d. Gaussian noise.
 
     Noise eta ~ N(0, noise_sigma) is added to every entry; values are not
-    clipped to the physical range of the observables.  The probes are
-    factored (unless probe_factors already holds their factors), and the
-    measurements flattened to their real form, once, for the data and for
-    the returned tomogram.
+    clipped to the physical range of the observables.  Each side is a
+    (P, N, N) stack, a sequence of operators or the (P, N) kets of pure
+    states, and is turned once into the forms of the returned tomogram.
     """
-    rho, meas = _stack_states(probes), _stack_states(measurements)
-    factors = factor_states(rho) if probe_factors is None else probe_factors
-    meas_real = real_observables(meas)
+    factors, meas_real = _forms(probes, measurements)
     data = factored_expectations(process.blocks, factors, meas_real)[0]
     if noise_sigma > 0:
         if rng is None:
             raise ValueError("rng is required when noise_sigma > 0")
         data = data + rng.normal(0.0, noise_sigma, data.shape)
-    return Tomogram(kind, process.dim, rho, meas, data,
+    return Tomogram(kind, process.dim, factors, meas_real, data,
                     noise_sigma, seed=seed, probe_spec=probe_spec,
-                    meas_spec=meas_spec, truth=process if keep_truth else None,
-                    probe_factors=factors, meas_real=meas_real)
+                    meas_spec=meas_spec, truth=process if keep_truth else None)
 
 
 def _subsample_spec(spec, indices):
@@ -155,14 +173,12 @@ def subsample(tomogram, gamma, rng):
     pi = np.sort(rng.choice(tomogram.num_probes, n_p, replace=False))
     mi = np.sort(rng.choice(tomogram.num_measurements, n_m, replace=False))
     amps, signs = tomogram.probe_factors
-    return Tomogram(tomogram.kind, tomogram.dim,
-                    tomogram.probes[pi], tomogram.measurements[mi],
-                    tomogram.data[np.ix_(pi, mi)], tomogram.noise_sigma,
-                    seed=tomogram.seed,
+    return Tomogram(tomogram.kind, tomogram.dim, (amps[pi], signs[pi]),
+                    tomogram.meas_real[mi], tomogram.data[np.ix_(pi, mi)],
+                    tomogram.noise_sigma, seed=tomogram.seed,
                     probe_spec=_subsample_spec(tomogram.probe_spec, pi),
                     meas_spec=_subsample_spec(tomogram.meas_spec, mi),
-                    truth=tomogram.truth, probe_factors=(amps[pi], signs[pi]),
-                    meas_real=tomogram.meas_real[mi])
+                    truth=tomogram.truth)
 
 
 def batches(tomogram, batch_size, rng):
@@ -205,17 +221,6 @@ def sensing_matrix(probes, measurements):
     return s.reshape(p * q, n ** 4).conj()
 
 
-def predict_from_choi(s, choi):
-    """Predicted (real) data vector for a Choi matrix under sensing matrix s."""
-    return np.real(s @ choi.mat.ravel())
-
-
-def _spec_with_matrices(spec, mats):
-    if spec.get("type", "explicit") != "explicit":
-        return spec
-    return {**spec, "type": "explicit", "matrices": complex_to_json(mats)}
-
-
 def _indices(spec, size):
     """The descriptor's optional indices, each checked to be in [0, size)."""
     idx = spec.get("indices")
@@ -225,22 +230,12 @@ def _indices(spec, size):
     return idx
 
 
-def _pure_states(kets):
-    """The projectors |k><k| of (P, N) kets, and the kets as their factors
-    (A, S) with R = 1 and S = 1 (see :func:`core.factor_states`)."""
-    kets = kets[:, :, None]
-    return (kets * kets.swapaxes(1, 2).conj(),
-            (kets, np.ones((len(kets), 1))))
-
-
 def materialize_probes(spec, dim):
-    """The stacked (P, N, N) operators of an explicit, pauli, coherent_grid
-    or displaced_parity_grid descriptor, and their factors where the build
-    gives them.
-
-    Returns (stack, factors): for Pauli states and a coherent grid, factors
-    are the kets the projectors are built from (:func:`_pure_states`); for
-    the other types, None.  The one place a descriptor is validated: a
+    """The operators of an explicit, pauli, coherent_grid or
+    displaced_parity_grid descriptor: the (P, N) kets of the pure Pauli
+    and coherent states, the stacked (P, N, N) operators of the other
+    types.  :func:`synthesize` takes either, and :func:`load` turns them
+    into a tomogram's forms.  The one place a descriptor is validated: a
     malformed field, an index out of range, 2**n_qubits != dim or an
     unknown type is a SchemaError, and a stack too large to build in
     memory a MemoryError.
@@ -251,14 +246,14 @@ def materialize_probes(spec, dim):
             mats = complex_from_json(spec["matrices"])
             if mats.shape[1:] != (dim, dim):
                 raise SchemaError(f"matrices of shape {mats.shape}, dim {dim}")
-            return mats, None
+            return mats
         if kind == "pauli":
             n = spec["n_qubits"]
             # bit_length first, so 2**n is never formed for a huge n.
             if not (isinstance(n, int) and n == int(dim).bit_length() - 1
                     and 2 ** n == dim):
                 raise SchemaError(f"n_qubits {n!r} does not match dim {dim}")
-            return _pure_states(dv.pauli_kets(n, _indices(spec, 6 ** n)))
+            return dv.pauli_kets(n, _indices(spec, 6 ** n))
         if kind in ("coherent_grid", "displaced_parity_grid"):
             pts = cv.CvGrid.from_dict(spec["grid"]).points
             idx = _indices(spec, len(pts))
@@ -270,26 +265,30 @@ def materialize_probes(spec, dim):
                     f"a {kind} of {len(pts)} points at dim {dim} needs more "
                     f"than {_MAX_GRID_BYTES >> 30} GiB")
             if kind == "coherent_grid":
-                return _pure_states(cv.coherent_ket(pts, dim))
-            return cv.displaced_parity(pts, dim), None
+                return cv.coherent_ket(pts, dim)
+            return cv.displaced_parity(pts, dim)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed {kind} descriptor: {exc}") from exc
     raise SchemaError(f"unknown probe/measurement descriptor: {kind!r}")
 
 
 def save(tomogram, path):
-    """Write a tomogram as a JSON document (lossless for data and metadata)."""
+    """Write a tomogram as a JSON document (lossless for data and metadata;
+    explicit sets are rebuilt from the stored forms, exact to rounding)."""
     doc = {
         "schema_version": SCHEMA_VERSION,
         "kind": tomogram.kind,
         "dim": tomogram.dim,
-        "probes": _spec_with_matrices(tomogram.probe_spec, tomogram.probes),
-        "measurements": _spec_with_matrices(tomogram.meas_spec,
-                                            tomogram.measurements),
+        "probes": tomogram.probe_spec,
+        "measurements": tomogram.meas_spec,
         "data": tomogram.data.tolist(),
         "noise_sigma": tomogram.noise_sigma,
         "seed": tomogram.seed,
     }
+    for side in ("probes", "measurements"):     # the dense views' names
+        if doc[side].get("type", "explicit") == "explicit":
+            doc[side] = {**doc[side], "type": "explicit",
+                         "matrices": complex_to_json(getattr(tomogram, side))}
     if tomogram.truth is not None:
         doc["truth"] = {"kraus": [complex_to_json(k)
                                   for k in tomogram.truth.blocks]}
@@ -330,15 +329,16 @@ def load(path):
         if "truth" in doc:
             kraus = expect_object(doc["truth"], "truth")["kraus"]
             truth = KrausStack(np.array([complex_from_json(k) for k in kraus]))
-        probes, factors = materialize_probes(doc["probes"], dim)
-        return Tomogram(doc["kind"], dim, probes,
-                        materialize_probes(doc["measurements"], dim)[0],
-                        doc["data"], doc["noise_sigma"], seed=doc.get("seed"),
+        factors, meas_real = _forms(
+            materialize_probes(doc["probes"], dim),
+            materialize_probes(doc["measurements"], dim))
+        return Tomogram(doc["kind"], dim, factors, meas_real, doc["data"],
+                        doc["noise_sigma"], seed=doc.get("seed"),
                         probe_spec={k: v for k, v in doc["probes"].items()
                                     if k != "matrices"},
                         meas_spec={k: v for k, v in doc["measurements"].items()
                                    if k != "matrices"},
-                        truth=truth, probe_factors=factors)
+                        truth=truth)
     except KeyError as exc:
         raise SchemaError(f"missing key {exc} in {path}") from exc
 

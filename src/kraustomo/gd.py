@@ -49,12 +49,12 @@ class GdConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.eta0 <= 0:
-            raise ValueError(f"eta0 must be > 0, got {self.eta0}")
+        if not 0 < self.eta0 < np.inf:
+            raise ValueError(f"eta0 must be finite and > 0, got {self.eta0}")
         if not 0 < self.decay <= 1:
             raise ValueError(f"decay must be in (0, 1], got {self.decay}")
-        if self.lam < 0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lam < np.inf:
+            raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.plateau_window < 1:
@@ -219,8 +219,8 @@ def fit(tomogram, cfg, init=None):
     cfg.k above N^2, the largest Choi rank, raises ValueError.  ``init``
     overrides the random starting point; it must be a TP stack with cfg.k
     blocks of the tomogram's dimension.  The TP defect recorded after each
-    step is the check the next step relies on: above 1e-8 the fit raises
-    ValueError, as :func:`cayley_step` does.
+    step is the check the next step relies on: above 1e-8 or NaN, the fit
+    raises ValueError, as :func:`cayley_step` does.
 
     Returns (KrausStack, FitTrace).
     """
@@ -272,7 +272,7 @@ def fit(tomogram, cfg, init=None):
         stack = _cayley(stack, grad / gnorm, eta)
         t2 = time.perf_counter()
         defect = tp_defect(stack)
-        if defect > VALID_TOL:
+        if not defect <= VALID_TOL:  # NaN fails too
             raise ValueError(f"step {it} left the orthonormal (TP) manifold: "
                              f"tp_defect {defect:.3e}")
         t3 = time.perf_counter()

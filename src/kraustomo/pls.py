@@ -4,10 +4,11 @@ The unconstrained Choi estimate is a factored linear inversion: every
 tomogram is a probe set x measurement set, so the sensing matrix is
 S = (R (x) M) P with P a column permutation, and its pseudo-inverse
 factors as P^T (pinv R (x) pinv M) (Surawy-Stepney et al., Quantum 6,
-844 (2022)).  The dense S (``data.sensing_matrix``) is never built; it
-remains only as a reference oracle.  The estimate is then projected
-onto the CPTP set with Dykstra's alternating projections between the
-PSD cone (CP) and the TP affine subspace.
+844 (2022)); R and M come from the tomogram's dense views of its forms.
+The dense S (``data.sensing_matrix``) is never built; it remains only as
+a reference oracle.  The estimate is then projected onto the CPTP set
+with Dykstra's alternating projections between the PSD cone (CP) and
+the TP affine subspace.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ class PlsConfig:
     dykstra_tol: float = 1e-7
 
     def __post_init__(self):
-        if self.dykstra_max_iters < 1 or self.dykstra_tol <= 0:
-            raise ValueError("iteration count and tolerance must be positive")
+        if self.dykstra_max_iters < 1 or not 0 < self.dykstra_tol < np.inf:
+            raise ValueError("iterations and tolerance must be finite and > 0")
 
     def to_dict(self):
         return {"dykstra_max_iters": self.dykstra_max_iters,

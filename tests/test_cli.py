@@ -129,6 +129,24 @@ class TestSynth:
         err = capsys.readouterr().err
         assert "GiB" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("--kind", "dv", "--noise", "nan"),
+        ("--kind", "dv", "--noise", "inf"),
+        ("--kind", "cv", "--alpha", "nan"),
+        ("--kind", "cv", "--alpha", "inf"),
+        ("--kind", "cv", "--theta", "0,nan"),
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[1:]))
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, argv):
+        out, csv_path = tmp_path / "d.json", tmp_path / "d.csv"
+        # Small grids at N = 8 stay clear of the truncation warning.
+        code = main(["synth", *argv, "--dim", "8",
+                     "--probe-grid=-1,1,-1,1,2,2", "--meas-grid=-1,1,-1,1,2,2",
+                     "--out", str(out), "--csv", str(csv_path)])
+        assert code == EXIT_USAGE
+        assert not out.exists() and not csv_path.exists()
+        err = capsys.readouterr().err
+        assert "finite" in err and len(err.splitlines()) == 1
+
     def test_failed_synth_removes_the_files_it_created(self, tmp_path,
                                                        capsys):
         out, csv = tmp_path / "new.json", tmp_path / "new.csv"
@@ -326,13 +344,42 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
-    def test_nan_data_is_numerical_failure(self, dv_dataset, capsys):
+    @pytest.mark.parametrize("key, value", [
+        ("data", float("nan")), ("data", float("inf")),
+        ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+    ], ids=["data-nan", "data-inf", "noise_sigma-nan", "noise_sigma-inf"])
+    def test_non_finite_file_entry_exits_2(self, dv_dataset, tmp_path,
+                                           capsys, key, value):
+        # JSON readers accept NaN and Infinity tokens; load rejects them.
         doc = json.loads(dv_dataset.read_text())
-        doc["data"][0][0] = float("nan")
+        if key == "data":
+            doc["data"][0][0] = value
+        else:
+            doc[key] = value
         dv_dataset.write_text(json.dumps(doc))
+        out = tmp_path / "est.json"
         code = main(["reconstruct", "--method", "pls", "--data",
-                     str(dv_dataset)])
-        assert code == EXIT_NUMERICAL
+                     str(dv_dataset), "--out", str(out)])
+        assert code == EXIT_USAGE and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("--method", "gd", "--lr", "nan"),
+        ("--method", "gd", "--lr", "inf"),
+        ("--method", "gd", "--l1", "nan"),
+        ("--method", "gd", "--l1", "inf"),
+        ("--method", "pls", "--proj-tol", "nan"),
+        ("--method", "pls", "--proj-tol", "inf"),
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[1:]))
+    def test_non_finite_option_exits_2(self, dv_dataset, tmp_path, capsys,
+                                       argv):
+        out = tmp_path / "est.json"
+        code = main(["reconstruct", "--data", str(dv_dataset), "--out",
+                     str(out), *argv])
+        assert code == EXIT_USAGE and not out.exists()
+        err = capsys.readouterr().err
+        assert "finite" in err and len(err.splitlines()) == 1
 
     def test_pls_three_qubits(self, tmp_path, capsys):
         data_path = tmp_path / "dv3.json"

@@ -13,8 +13,8 @@ from kraustomo.core import KrausStack, kraus_to_choi
 from kraustomo.cv import CvGrid, coherent_state, displaced_parity
 from kraustomo.data import (SchemaError, Tomogram, batches, complex_from_json,
                             complex_to_json, export_csv, load,
-                            materialize_probes, predict_from_choi, save,
-                            sensing_matrix, subsample, synthesize)
+                            materialize_probes, save, sensing_matrix,
+                            subsample, synthesize)
 from kraustomo.dv import pauli_ensemble, pauli_projector, random_process
 from dense_oracle import (coherent_kets_per_point, dense_expectations,
                           displaced_parities_per_point,
@@ -150,7 +150,7 @@ class TestSensingMatrix:
     def test_reproduces_channel_action(self, ensemble, rng):
         process = random_process(4, 5, rng)
         s = sensing_matrix(ensemble.probes, ensemble.measurements)
-        via_choi = predict_from_choi(s, kraus_to_choi(process))
+        via_choi = np.real(s @ kraus_to_choi(process).mat.ravel())
         direct = synthesize(process, ensemble.probes, ensemble.measurements,
                             0.0).data.ravel()
         assert np.abs(via_choi - direct).max() <= 1e-10
@@ -163,10 +163,37 @@ class TestSensingMatrix:
 
 
 class TestTomogramValidation:
-    def test_shape_mismatch(self, ensemble):
-        with pytest.raises(ValueError, match="data shape"):
-            Tomogram("dv", 4, ensemble.probes, ensemble.measurements,
-                     np.zeros((3, 3)), 0.0)
+    def test_shape_mismatch(self, noisy_tomogram, tmp_path):
+        path = tmp_path / "tomo.json"
+        save(noisy_tomogram, path)
+        doc = json.loads(path.read_text())
+        doc["data"] = np.zeros((3, 3)).tolist()
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"data \(3, 3\) do not match"):
+            load(path)
+
+    def test_forms_checked_against_dim(self, noisy_tomogram):
+        amps, signs = noisy_tomogram.probe_factors
+        meas = noisy_tomogram.meas_real
+        data = noisy_tomogram.data
+        for factors, real in [((amps[:, :2], signs), meas),
+                              ((amps, signs), meas[:, :9])]:
+            with pytest.raises(ValueError, match="do not match dim 4"):
+                Tomogram("dv", 4, factors, real, data, 0.0)
+
+    @pytest.mark.parametrize("noise", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_noise_sigma(self, noisy_tomogram, noise):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            Tomogram("dv", 4, noisy_tomogram.probe_factors,
+                     noisy_tomogram.meas_real, noisy_tomogram.data, noise)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_data(self, noisy_tomogram, value):
+        data = noisy_tomogram.data.copy()
+        data[3, 5] = value
+        with pytest.raises(ValueError, match="finite"):
+            Tomogram("dv", 4, noisy_tomogram.probe_factors,
+                     noisy_tomogram.meas_real, data, 0.0)
 
 
 class TestSaveLoad:
@@ -219,38 +246,37 @@ class TestSaveLoad:
 
 class TestMaterializeProbes:
     def test_pauli_matches_ensemble_order(self, ensemble):
-        ops, (kets, signs) = materialize_probes({"type": "pauli",
-                                                 "n_qubits": 2}, 4)
-        assert ops.shape == (36, 4, 4)
-        assert np.array_equal(ops, np.array(ensemble.measurements))
-        # The kets the projectors are built from are their factors.
-        assert kets.shape == (36, 4, 1) and (signs == 1).all()
-        assert np.array_equal(kets * kets.swapaxes(1, 2).conj(), ops)
+        # Pauli states are given by their kets, as pure states' factors.
+        kets = materialize_probes({"type": "pauli", "n_qubits": 2}, 4)
+        assert kets.shape == (36, 4)
+        assert np.array_equal(kets[:, :, None] * kets[:, None, :].conj(),
+                              np.array(ensemble.measurements))
 
     def test_pauli_indices_decode_labels(self):
-        ops, _ = materialize_probes({"type": "pauli", "n_qubits": 3,
-                                     "indices": [0, 215, 43]}, 8)
+        kets = materialize_probes({"type": "pauli", "n_qubits": 3,
+                                   "indices": [0, 215, 43]}, 8)
         # 43 = 1*36 + 1*6 + 1 in base 6: (x-, x-, x-).
-        for op, lab in zip(ops, [("x+",) * 3, ("z-",) * 3, ("x-",) * 3]):
-            assert np.array_equal(op, pauli_projector(lab))
+        for ket, lab in zip(kets, [("x+",) * 3, ("z-",) * 3, ("x-",) * 3]):
+            assert np.array_equal(np.outer(ket, ket.conj()),
+                                  pauli_projector(lab))
 
     def test_grids_match_cv_builders(self):
         grid = CvGrid(-1, 1, -1, 1, 2, 3)
         pts = grid.points
-        coh, _ = materialize_probes({"type": "coherent_grid",
-                                     "grid": grid.to_dict(),
-                                     "indices": [4, 1]}, 6)
-        par, factors = materialize_probes({"type": "displaced_parity_grid",
-                                           "grid": grid.to_dict()}, 6)
-        assert factors is None
-        assert np.array_equal(coh, [coherent_state(pts[4], 6).mat,
-                                    coherent_state(pts[1], 6).mat])
+        kets = materialize_probes({"type": "coherent_grid",
+                                   "grid": grid.to_dict(),
+                                   "indices": [4, 1]}, 6)
+        par = materialize_probes({"type": "displaced_parity_grid",
+                                  "grid": grid.to_dict()}, 6)
+        assert np.array_equal([np.outer(k, k.conj()) for k in kets],
+                              [coherent_state(pts[4], 6).mat,
+                               coherent_state(pts[1], 6).mat])
         assert np.array_equal(par, [displaced_parity(b, 6) for b in pts])
 
     def test_explicit_shape_checked(self):
         mats = complex_to_json(np.eye(2)[None])
         assert materialize_probes({"type": "explicit", "matrices": mats},
-                                  2)[0].shape == (1, 2, 2)
+                                  2).shape == (1, 2, 2)
         with pytest.raises(SchemaError, match="dim 3"):
             materialize_probes({"type": "explicit", "matrices": mats}, 3)
 
@@ -306,21 +332,23 @@ class TestMaterializeProbes:
         grid = {"type": kind, "grid": CvGrid(-1, 1, -1, 1, 5, 10).to_dict()}
         tracemalloc.start()
         try:
-            ops = materialize_probes(grid, dim)[0]
+            ops = materialize_probes(grid, dim)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ops.shape == (50, dim, dim)
+        # Coherent states come as kets, displaced parities as a stack.
+        assert ops.shape == {"coherent_grid": (50, dim),
+                             "displaced_parity_grid": (50, dim, dim)}[kind]
         assert peak <= cap
         with pytest.raises(MemoryError, match="GiB"):
             materialize_probes({**grid, "indices": list(range(50)) + [0]},
                                dim)
 
     def test_selected_entries_pass_the_guard(self):
-        ops, _ = materialize_probes({"type": "pauli", "n_qubits": 6,
-                                     "indices": list(range(0, 6 ** 6, 997))},
-                                    64)
-        assert ops.shape == (47, 64, 64)
+        kets = materialize_probes({"type": "pauli", "n_qubits": 6,
+                                   "indices": list(range(0, 6 ** 6, 997))},
+                                  64)
+        assert kets.shape == (47, 64)
 
 
 def _synth(tmp_path, name, *args):

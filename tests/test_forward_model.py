@@ -11,8 +11,8 @@ from kraustomo import data as data_module
 from kraustomo.cli import EXIT_USAGE, main
 from kraustomo.core import (factor_states, factored_expectations,
                             factored_pullback, real_observables)
-from kraustomo.data import (Tomogram, complex_to_json, load,
-                            materialize_probes, subsample, synthesize)
+from kraustomo.data import (complex_to_json, load, materialize_probes, save,
+                            subsample, synthesize)
 from kraustomo.dv import pauli_projectors, random_process
 from kraustomo.gd import init_kraus, value_and_grad
 
@@ -39,27 +39,34 @@ def _explicit_probes(kind, dim, count, rng):
     return 0.5 * (x + x.conj().swapaxes(1, 2))       # Hermitian, indefinite
 
 
-def _cv_stacks(dim, half_width, points):
+def _projectors(kets):
+    return kets[:, :, None] * kets[:, None, :].conj()
+
+
+def _cv_sets(dim, half_width, points):
+    """The coherent kets and the displaced-parity stack of a square grid."""
     grid = cv.CvGrid(-half_width, half_width, -half_width, half_width,
                      points, points).to_dict()
-    return tuple(materialize_probes({"type": kind, "grid": grid}, dim)[0]
+    return tuple(materialize_probes({"type": kind, "grid": grid}, dim)
                  for kind in ("coherent_grid", "displaced_parity_grid"))
 
 
-# name -> (tomogram builder, k, expected factor rank R)
+# name -> (tomogram, k, expected factor rank R, the builders' dense probe
+# and measurement stacks)
 def _setting(name):
     rng = np.random.default_rng(sum(map(ord, name)))
     if name.startswith("dv"):
         n = int(name[2])
         ops = pauli_projectors(n)
         process = random_process(2 ** n, 3, rng)
-        return synthesize(process, ops, ops, 1e-2, rng), 2, 1
+        return synthesize(process, ops, ops, 1e-2, rng), 2, 1, ops, ops
     if name.startswith("cv"):
         dim = int(name[2:])
         # Grids inside |alpha|^2 <= dim / 4: no truncation warning.
-        probes, meas = _cv_stacks(dim, 0.9 if dim == 8 else 1.4, 4)
+        kets, meas = _cv_sets(dim, 0.9 if dim == 8 else 1.4, 4)
         process = cv.snap_displace_process(1.0, cv.DEFAULT_PHASES, dim)
-        return synthesize(process, probes, meas, 1e-2, rng), 3, 1
+        return (synthesize(process, kets, meas, 1e-2, rng), 3, 1,
+                _projectors(kets), meas)
     kind = name.split("-")[1]
     subsampled = name.endswith("-subsampled")
     probes = _explicit_probes(kind, 4, 12 if subsampled else 6, rng)
@@ -69,7 +76,16 @@ def _setting(name):
     tomogram = synthesize(process, probes, meas, 1e-2, rng)
     if subsampled:      # R > 1 factors that are fancy-indexed copies
         tomogram = subsample(tomogram, 0.5, rng)
-    return tomogram, 2, rank
+        probes = probes[tomogram.probe_spec["indices"]]
+        meas = meas[tomogram.meas_spec["indices"]]
+    return tomogram, 2, rank, probes, meas
+
+
+def _view_tol(stack):
+    """1e-15 for states and observables of spectral norm at most 1; eigh
+    rebuilds a stack of larger norm to about 1e-15 N times that norm."""
+    norm = np.linalg.norm(stack, 2, axis=(1, 2)).max()
+    return 1e-15 * (1.0 if norm <= 1 + 1e-12 else stack.shape[-1] * norm)
 
 
 SETTINGS = ["dv1", "dv2", "dv3", "cv8", "cv16", "cv32", "explicit-rank2",
@@ -86,31 +102,40 @@ def setting(request):
 
 class TestFactorStates:
     def test_reconstructs_the_states(self, setting):
-        tomogram, _, rank = setting
+        # The dense view A S A^dag against the builder's stack.
+        tomogram, _, rank, probes, _ = setting
         amps, signs = tomogram.probe_factors
         assert amps.shape == (tomogram.num_probes, tomogram.dim, rank)
-        rebuilt = np.matmul(amps * signs[:, None, :],
-                            amps.conj().swapaxes(1, 2))
-        assert np.abs(rebuilt - tomogram.probes).max() <= 1e-14
+        assert np.abs(tomogram.probes - probes).max() <= _view_tol(probes)
+
+    def test_save_load_round_trip(self, setting, tmp_path):
+        # The settings carry explicit sets: written from the stored forms,
+        # and factored again on load.
+        tomogram, _, _, probes, meas = setting
+        save(tomogram, tmp_path / "t.json")
+        back = load(tmp_path / "t.json")
+        assert np.array_equal(back.data, tomogram.data)
+        assert np.abs(back.probes - probes).max() <= 2 * _view_tol(probes)
+        assert np.abs(back.measurements - meas).max() <= 2 * _view_tol(meas)
 
     def test_indefinite_keeps_negative_signs(self):
-        tomogram, _, _ = _setting("explicit-indefinite")
+        tomogram = _setting("explicit-indefinite")[0]
         signs = tomogram.probe_factors[1]
         assert (signs < 0).any() and (signs > 0).any()
 
     def test_pure_coherent_probes_have_rank_one(self):
         with pytest.warns(UserWarning):
-            probes, _ = _cv_stacks(32, 2.5, 10)
-        assert factor_states(probes)[0].shape == (100, 32, 1)
+            kets, _ = _cv_sets(32, 2.5, 10)
+        assert factor_states(_projectors(kets))[0].shape == (100, 32, 1)
 
     @staticmethod
-    def _kets_match_the_eigh_factors(probes, kets, signs):
+    def _kets_match_the_eigh_factors(probes, kets):
         # The kets a pure stack is built from serve as its factors (R = 1,
         # S = 1); U = Re sigma + Im sigma is e against T = I.
         p, dim = probes.shape[:2]
-        assert kets.shape == (p, dim, 1) and (signs == 1).all()
-        assert np.abs(kets * kets.swapaxes(1, 2).conj() - probes).max() \
-            <= 1e-15
+        assert kets.shape == (p, dim)
+        assert np.abs(_projectors(kets) - probes).max() <= 1e-15
+        kets, signs = kets[:, :, None], np.ones((p, 1))
         blocks = init_kraus(3, dim, np.random.default_rng(7)).blocks
         ident = np.eye(dim * dim)
         u, phi = factored_expectations(blocks, (kets, signs), ident)
@@ -128,10 +153,12 @@ class TestFactorStates:
     def test_coherent_kets_match_the_eigh_factors(self, dim, half_width):
         grid = cv.CvGrid(-half_width, half_width, -half_width, half_width,
                          5, 4).to_dict()
-        probes, (kets, signs) = materialize_probes(
-            {"type": "coherent_grid", "grid": grid}, dim)
+        kets = materialize_probes({"type": "coherent_grid", "grid": grid},
+                                  dim)
+        probes = np.array([cv.coherent_state(alpha, dim).mat
+                           for alpha in cv.CvGrid.from_dict(grid).points])
         assert len(probes) == 20
-        self._kets_match_the_eigh_factors(probes, kets, signs)
+        self._kets_match_the_eigh_factors(probes, kets)
 
     @pytest.mark.parametrize("spec", [
         {"type": "pauli", "n_qubits": 1},
@@ -141,9 +168,9 @@ class TestFactorStates:
     ], ids=["n1", "n2", "n3", "n4-subset"])
     def test_pauli_kets_match_the_eigh_factors(self, spec):
         n = spec["n_qubits"]
-        probes, (kets, signs) = materialize_probes(spec, 2 ** n)
-        assert np.array_equal(probes, pauli_projectors(n, spec.get("indices")))
-        self._kets_match_the_eigh_factors(probes, kets, signs)
+        kets = materialize_probes(spec, 2 ** n)
+        self._kets_match_the_eigh_factors(
+            pauli_projectors(n, spec.get("indices")), kets)
 
     def test_load_factors_coherent_probes_from_their_kets(self, tmp_path,
                                                           monkeypatch):
@@ -174,22 +201,18 @@ class TestFactorStates:
         assert np.abs(rebuilt - states).max() <= 1e-15
 
     def test_subsample_slices_the_factors(self, rng):
-        tomogram, _, _ = _setting("explicit-indefinite")
+        tomogram, _, _, probes, _ = _setting("explicit-indefinite")
         sub = subsample(tomogram, 0.5, rng)
-        amps, signs = sub.probe_factors
-        rebuilt = np.matmul(amps * signs[:, None, :],
-                            amps.conj().swapaxes(1, 2))
-        assert np.abs(rebuilt - sub.probes).max() <= 1e-14
+        want = probes[sub.probe_spec["indices"]]
+        assert np.abs(sub.probes - want).max() <= _view_tol(want)
 
     def test_subsample_slices_the_real_observables(self, rng):
-        tomogram, _, _ = _setting("cv8")
+        tomogram, _, _, _, meas = _setting("cv8")
         sub = subsample(tomogram, 0.5, rng)
-        assert np.array_equal(sub.meas_real,
-                              real_observables(sub.measurements))
-        rows = [np.flatnonzero((tomogram.measurements == m).all(axis=(1, 2)))
-                for m in sub.measurements]
-        assert np.array_equal(sub.meas_real,
-                              tomogram.meas_real[np.concatenate(rows)])
+        mi = sub.meas_spec["indices"]
+        assert np.array_equal(sub.meas_real, real_observables(meas[mi]))
+        assert np.array_equal(sub.meas_real, tomogram.meas_real[mi])
+        assert np.abs(sub.measurements - meas[mi]).max() <= 1e-15
 
 
 def _dense_pullback(blocks, states, observables, coeffs, paired):
@@ -206,15 +229,18 @@ class TestRealObservables:
     """The real form T = Re M + Im M against the dense complex model."""
 
     def test_shape_and_values(self, setting):
-        tomogram, _, _ = setting
-        meas = tomogram.measurements
+        tomogram, _, _, _, meas = setting
         assert tomogram.meas_real.shape == (len(meas), tomogram.dim ** 2)
         want = (meas.real + meas.imag).reshape(len(meas), -1)
         assert np.array_equal(tomogram.meas_real, want)
 
+    def test_dense_view_matches_the_builder(self, setting):
+        tomogram, _, _, _, meas = setting
+        assert np.abs(tomogram.measurements - meas).max() <= _view_tol(meas)
+
     @pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
     def test_forward_and_pullback(self, setting, batch):
-        tomogram, k, _ = setting
+        tomogram, k, _, _, _ = setting
         blocks = init_kraus(k, tomogram.dim, np.random.default_rng(7)).blocks
         amps, signs = tomogram.probe_factors
         rho, meas, obs = (tomogram.probes, tomogram.measurements,
@@ -242,7 +268,7 @@ class TestRealObservables:
 class TestMatchesDenseOracle:
     @pytest.mark.parametrize("batch", BATCHES.values(), ids=BATCHES.keys())
     def test_value_and_gradient(self, setting, batch):
-        tomogram, k, _ = setting
+        tomogram, k, _, _, _ = setting
         kraus = init_kraus(k, tomogram.dim, np.random.default_rng(7))
         value, grad = value_and_grad(kraus, tomogram, batch)
         want_value, want_grad = dense_value_and_grad(kraus.blocks, tomogram,
@@ -252,12 +278,23 @@ class TestMatchesDenseOracle:
         assert np.abs(grad - want).max() <= RTOL * np.abs(want).max()
 
     def test_synthesis(self, setting):
-        tomogram, _, _ = setting
+        tomogram = setting[0]
         got = synthesize(tomogram.truth, tomogram.probes,
                          tomogram.measurements, 0.0).data
         want = dense_expectations(tomogram.truth.blocks, tomogram.probes,
                                   tomogram.measurements)
         assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
+
+
+def _dataset_with_explicit(tmp_path, side, mats):
+    """A dv n=1 dataset file whose probes or measurements are mats."""
+    path = tmp_path / "dv.json"
+    assert main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "2",
+                 "--out", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc[side] = {"type": "explicit", "matrices": complex_to_json(mats)}
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestNonHermitianMeasurements:
@@ -270,10 +307,10 @@ class TestNonHermitianMeasurements:
         with pytest.raises(ValueError, match="Hermitian"):
             real_observables(self._meas())
 
-    def test_tomogram_rejects(self):
-        ops = pauli_projectors(1)
+    def test_tomogram_rejects(self, tmp_path):
+        path = _dataset_with_explicit(tmp_path, "measurements", self._meas())
         with pytest.raises(ValueError, match="Hermitian"):
-            Tomogram("dv", 2, ops, self._meas(), np.zeros((6, 6)), 0.0)
+            load(path)
 
     def test_synthesis_rejects(self, rng):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -281,13 +318,7 @@ class TestNonHermitianMeasurements:
                        self._meas(), 0.0)
 
     def test_cli_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "dv.json"
-        assert main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "2",
-                     "--out", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        doc["measurements"] = {"type": "explicit",
-                               "matrices": complex_to_json(self._meas())}
-        path.write_text(json.dumps(doc))
+        path = _dataset_with_explicit(tmp_path, "measurements", self._meas())
         code = main(["reconstruct", "--method", "gd", "--data", str(path),
                      "--iters", "1"])
         assert code == EXIT_USAGE
@@ -301,24 +332,26 @@ class TestNonHermitianProbes:
         probes[2, 0, 1] += 0.5
         return probes
 
-    def test_tomogram_rejects(self):
-        ops = pauli_projectors(1)
+    def test_tomogram_rejects(self, tmp_path):
+        path = _dataset_with_explicit(tmp_path, "probes", self._probes())
         with pytest.raises(ValueError, match="Hermitian"):
-            Tomogram("dv", 2, self._probes(), ops, np.zeros((6, 6)), 0.0)
+            load(path)
 
     def test_synthesis_rejects(self, rng):
         with pytest.raises(ValueError, match="Hermitian"):
             synthesize(random_process(2, 1, rng), self._probes(),
                        pauli_projectors(1), 0.0)
 
+    @pytest.mark.parametrize("side", ["probes", "measurements"])
+    def test_nan_entry_rejects(self, tmp_path, side):
+        ops = pauli_projectors(1)
+        ops[3, 1, 1] = np.nan
+        path = _dataset_with_explicit(tmp_path, side, ops)
+        with pytest.raises(ValueError, match="Hermitian.*nan"):
+            load(path)
+
     def test_cli_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "dv.json"
-        assert main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "2",
-                     "--out", str(path)]) == 0
-        doc = json.loads(path.read_text())
-        doc["probes"] = {"type": "explicit",
-                         "matrices": complex_to_json(self._probes())}
-        path.write_text(json.dumps(doc))
+        path = _dataset_with_explicit(tmp_path, "probes", self._probes())
         code = main(["reconstruct", "--method", "gd", "--data", str(path),
                      "--iters", "1"])
         assert code == EXIT_USAGE

@@ -40,7 +40,9 @@ class TestGdConfig:
                                         {"decay": 0.0}, {"decay": 1.5},
                                         {"lam": -1.0}, {"max_iters": -1},
                                         {"plateau_window": 0},
-                                        {"batch_size": 0}])
+                                        {"batch_size": 0},
+                                        {"eta0": np.nan}, {"eta0": np.inf},
+                                        {"lam": np.nan}, {"lam": np.inf}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             GdConfig(**kwargs)
@@ -389,6 +391,13 @@ class TestFitStops:
         monkeypatch.setattr(gd_module, "_cayley",
                             lambda stack, grad, eta: 1.01 * stack)
         with pytest.raises(ValueError, match="orthonormal"):
+            fit(_golden_tomogram(), GdConfig(k=2, max_iters=5, seed=1))
+
+    def test_nan_step_raises(self, monkeypatch):
+        # A NaN TP defect fails the guard as a large one does.
+        monkeypatch.setattr(gd_module, "_cayley",
+                            lambda stack, grad, eta: np.nan * stack)
+        with pytest.raises(ValueError, match="tp_defect nan"):
             fit(_golden_tomogram(), GdConfig(k=2, max_iters=5, seed=1))
 
     @pytest.mark.parametrize("cfg", [

@@ -21,6 +21,9 @@ class TestPlsConfig:
             PlsConfig(dykstra_max_iters=0)
         with pytest.raises(ValueError):
             PlsConfig(dykstra_tol=0.0)
+        for tol in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PlsConfig(dykstra_tol=tol)
 
 
 class TestLinearInversion:
