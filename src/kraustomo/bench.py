@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ChoiMatrix, kraus_to_choi, process_fidelity
 from .data import SchemaError, expect_object, subsample, synthesize
-from .dv import pauli_projectors, random_process
+from .dv import pauli_kets, random_process
 from .gd import GdConfig, fit
 from .pls import InformationIncompleteError, PlsConfig, fit_pls, project_cp
 
@@ -62,10 +62,6 @@ def _gd_config(spec, k, seed, **extra):
     return GdConfig(**kwargs)
 
 
-def _infidelity(truth_choi, est_choi):
-    return process_fidelity(truth_choi, est_choi).infidelity
-
-
 def _row(value, seed, method, k, infid, iters, wall, error=""):
     return {"sweep_value": value, "seed": seed, "method": method, "k": k,
             "infidelity": infid, "iterations": iters, "wall_time_s": wall,
@@ -80,7 +76,8 @@ def _reconstruct_rows(spec, value, seed, tomogram, truth_choi):
                 t0 = time.perf_counter()
                 est, trace = fit(tomogram, _gd_config(spec, k, seed))
                 wall = time.perf_counter() - t0
-                infid = _infidelity(truth_choi, kraus_to_choi(est))
+                infid = process_fidelity(truth_choi,
+                                         kraus_to_choi(est)).infidelity
                 rows.append(_row(value, seed, "gd", k, infid,
                                  trace.n_iters, wall))
         elif method == "pls":
@@ -92,7 +89,7 @@ def _reconstruct_rows(spec, value, seed, tomogram, truth_choi):
                                  time.perf_counter() - t0))
                 continue
             wall = time.perf_counter() - t0
-            infid = _infidelity(truth_choi, res.choi)
+            infid = process_fidelity(truth_choi, res.choi).infidelity
             rows.append(_row(value, seed, "pls", "", infid, res.cycles, wall))
         else:
             raise ValueError(f"unknown method {method!r}")
@@ -100,7 +97,7 @@ def _reconstruct_rows(spec, value, seed, tomogram, truth_choi):
 
 
 def _noise_cell(spec, idx, eps, seed):
-    ops = pauli_projectors(spec.n_qubits)
+    ops = pauli_kets(spec.n_qubits)
     process = random_process(2 ** spec.n_qubits, spec.rank,
                              np.random.default_rng([seed, 1000]))
     tomogram = synthesize(process, ops, ops, eps,
@@ -110,7 +107,7 @@ def _noise_cell(spec, idx, eps, seed):
 
 
 def _gamma_cell(spec, idx, gamma, seed):
-    ops = pauli_projectors(spec.n_qubits)
+    ops = pauli_kets(spec.n_qubits)
     process = random_process(2 ** spec.n_qubits, spec.rank,
                              np.random.default_rng([seed, 1000]))
     # One noisy dataset per seed, shared across the gamma grid.
@@ -124,8 +121,8 @@ def _gamma_cell(spec, idx, gamma, seed):
 def _timing_cell(spec, idx, n, seed):
     rng = np.random.default_rng([seed, 4000 + idx])
     total = 6 ** n
-    ops = pauli_projectors(n, rng.choice(total, min(total, _TIMING_SUBSET),
-                                         replace=False))
+    ops = pauli_kets(n, rng.choice(total, min(total, _TIMING_SUBSET),
+                                   replace=False))
     process = random_process(2 ** n, 3, rng)
     tomogram = synthesize(process, ops, ops, spec.noise, rng, kind="dv",
                           seed=seed)

@@ -69,6 +69,11 @@ def cmd_synth(args):
 
 
 def _synth(args):
+    # Checked here, before the grids, whose truncation warnings come first.
+    if not (0 <= args.noise < np.inf
+            and np.isfinite([args.alpha, *args.theta]).all()):
+        raise ValueError("--noise must be finite and >= 0, and --alpha and "
+                         "--theta finite")
     rng = np.random.default_rng(args.seed)
     if args.kind == "dv":
         dim = 2 ** args.qubits

@@ -18,8 +18,8 @@ Tr[M_j sum_l K_l rho_i K_l^dag] are computed from phi_li = K_l A_i and T
 (:func:`factored_expectations`), as is their gradient
 (:func:`factored_pullback`).  Synthesis, the GD loss and the GD gradient
 all run on it.  It is probe-major: phi is one product of the (P R, N)
-probe rows with the Kraus blocks, laid out (P, N, k R), and the arrays
-that depend only on the probes (:func:`probe_terms`) can be built once.
+probe rows with the Kraus blocks, laid out (P, N, k R).  It reads the
+probes only as their :func:`probe_terms`, built once per set of probes.
 """
 
 from __future__ import annotations
@@ -176,32 +176,31 @@ def real_observables(observables):
 
 
 def probe_terms(factors):
-    """(A, S, rows, coef, conj_rows): probe factors (A, S) with what the
-    forward model reads from them, the (P R, N) rows A_i^T, (1 - i) S_i
-    shaped to broadcast over the Kraus index and the (N, P R) conjugate
-    rows (A_i S_i / 2)^*; both forward functions take it for (A, S)."""
+    """(rows, coef, conj_rows), the forward model's one probe-side input:
+    the (P R, N) rows A_i^T of factors (A, S), (1 - i) S_i shaped
+    (P, 1, 1, R) for the Kraus index and the (N, P R) conjugate rows
+    (A_i S_i / 2)^*."""
     amps, signs = factors
     p, n, r = amps.shape
     conj = (amps.conj() * (0.5 * signs)[:, None, :]).swapaxes(1, 2)
-    return (amps, signs, amps.swapaxes(1, 2).reshape(p * r, n),
+    return (amps.swapaxes(1, 2).reshape(p * r, n),
             ((1 - 1j) * signs)[:, None, None, :], conj.reshape(p * r, n).T)
 
 
-def factored_expectations(blocks, factors, obs_real, paired=False):
+def factored_expectations(blocks, terms, obs_real, paired=False):
     """The package's one forward model, on factored states.
 
-    With (A_i, S_i) = factors (or their :func:`probe_terms`) and phi_li =
-    K_l A_i, the output state is sigma_i = sum_l phi_li S_i phi_li^dag and
-    e[i, j] = Tr[M_j sigma_i] = U_i . T_j, with U = Re sigma + Im sigma =
-    Re[(1 - i) sigma] and T from :func:`real_observables`, a (P, Q) array;
-    when paired, state b goes with observable b only and e is (B,).  phi,
-    the probe rows A_i^T times [K_l^T] (N, N k), is copied only to order
-    its columns (l, r) when R > 1.  Returns (e, phi (P, N, k R)).
+    With phi_li = K_l A_i for the probes' :func:`probe_terms`, the output
+    state is sigma_i = sum_l phi_li S_i phi_li^dag and e[i, j] = Tr[M_j
+    sigma_i] = U_i . T_j, with U = Re sigma + Im sigma = Re[(1 - i) sigma]
+    and T from :func:`real_observables`, a (P, Q) array; when paired,
+    state b goes with observable b only and e is (B,).  phi, the probe
+    rows A_i^T times [K_l^T] (N, N k), is copied only to order its columns
+    (l, r) when R > 1.  Returns (e, phi (P, N, k R)).
     """
-    _, signs, rows, coef, _ = (factors if len(factors) > 2
-                               else probe_terms(factors))
+    rows, coef, _ = terms
     k, n = blocks.shape[0], blocks.shape[-1]
-    p, r = signs.shape
+    p, r = coef.shape[0], coef.shape[-1]
     phi = rows @ blocks.transpose(2, 1, 0).reshape(n, n * k)
     phi = np.ascontiguousarray(phi.reshape(p, r, n, k).transpose(0, 2, 3, 1))
     left = (phi * coef).reshape(p, n, k * r)
@@ -214,21 +213,20 @@ def factored_expectations(blocks, factors, obs_real, paired=False):
     return u @ obs_real.T, phi
 
 
-def factored_pullback(phi, factors, obs_real, coeffs, paired=False):
+def factored_pullback(phi, terms, obs_real, coeffs, paired=False):
     """Conjugate derivative of sum c * e w.r.t. each K_l.
 
     Block l is sum_i W_i K_l rho_i = sum_i (W_i phi_li) S_i A_i^dag, with
     W_i = sum_j c_ij M_j (c of shape (P, Q)), or W_b = c_b M_b when
     paired (c of shape (B,)); phi is the second return value of
-    :func:`factored_expectations` on the same A.  For real c, w = c T is
-    Re W + Im W flattened, so 2 W = (w + w^T) + i (w - w^T), formed on phi
-    from the real products w phi and w^T phi.  The sum over probes is one
-    product of the signed conjugate rows of :func:`probe_terms` with the
-    (P R, N k) rows of 2 W phi.  Returns a (k, N, N) transposed view.
+    :func:`factored_expectations` on the same terms.  For real c, w = c T
+    is Re W + Im W flattened, so 2 W = (w + w^T) + i (w - w^T), formed on
+    phi from the real products w phi and w^T phi.  The sum over probes is
+    one product of the signed conjugate rows of :func:`probe_terms` with
+    the (P R, N k) rows of 2 W phi.  Returns a (k, N, N) transposed view.
     """
-    _, signs, _, _, conj = (factors if len(factors) > 2
-                            else probe_terms(factors))
-    (p, n, kr), r = phi.shape, signs.shape[1]
+    _, coef, conj = terms
+    (p, n, kr), r = phi.shape, coef.shape[-1]
     k = kr // r
     w = (coeffs[:, None] * obs_real if paired
          else coeffs @ obs_real).reshape(p, n, n)
@@ -247,7 +245,7 @@ def channel_expectations(blocks, states, observables):
     The package does not call it; the benchmark's tracer (perfbench) names
     it, and its self-test fails when a named function is absent.
     """
-    return factored_expectations(blocks, factor_states(states),
+    return factored_expectations(blocks, probe_terms(factor_states(states)),
                                  real_observables(observables))[0]
 
 

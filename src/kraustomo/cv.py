@@ -137,7 +137,5 @@ def snap(phases, dim):
 def snap_displace_process(alpha=DEFAULT_ALPHA, phases=DEFAULT_PHASES,
                           dim=DEFAULT_CUTOFF):
     """The unitary target process D(alpha) S(phases) D(-alpha) as a k=1 stack."""
-    if not (np.isfinite(alpha) and np.isfinite(phases).all()):
-        raise ValueError(f"alpha {alpha} and the SNAP phases must be finite")
     d_plus, d_minus = displacement(np.array([alpha, -alpha]), dim)
     return KrausStack((d_plus @ snap(phases, dim) @ d_minus)[None])

@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from .core import (DensityMatrix, KrausStack, factor_states,
-                   factored_expectations, real_observables)
+                   factored_expectations, probe_terms, real_observables)
 from . import cv, dv
 
 SCHEMA_VERSION = 1
@@ -138,7 +138,8 @@ def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
     states, and is turned once into the forms of the returned tomogram.
     """
     factors, meas_real = _forms(probes, measurements)
-    data = factored_expectations(process.blocks, factors, meas_real)[0]
+    data = factored_expectations(process.blocks, probe_terms(factors),
+                                 meas_real)[0]
     if noise_sigma > 0:
         if rng is None:
             raise ValueError("rng is required when noise_sigma > 0")

@@ -12,8 +12,8 @@ T_j = Re M_j + Im M_j the tomogram holds; its products phi_li = K_l A_i
 serve the residuals (hence the loss) and the gradient
 (:func:`core.factored_pullback`).  :func:`loss` and
 :func:`wirtinger_gradient` are its two halves.  :func:`fit` runs it on
-the raw kN x N stack with the probe-side arrays (:func:`core.probe_terms`)
-built once, so an iteration builds nothing that depends only on the data.
+the raw kN x N stack with :func:`core.probe_terms` built once per fit
+(per step for minibatches), so a full-batch iteration builds none.
 """
 
 from __future__ import annotations
@@ -97,10 +97,9 @@ class FitTrace:
 
 
 def _terms(tomogram, batch):
-    """(probe terms, terms of 2 rho_i, meas_real, d) for the residuals r =
-    d - e of a batch of (i, j) pairs (pair b: rho_i and M_j), all probes
-    and measurements if batch is None, or None for an empty batch.  The
-    pullback of -r onto 2 rho_i is the gradient of sum r^2 itself."""
+    """(probe terms, meas_real, d) for the residuals of a batch of (i, j)
+    pairs (pair b: rho_i and M_j), all probes and measurements if batch
+    is None, or None for an empty batch."""
     (amps, signs), meas, d = (tomogram.probe_factors, tomogram.meas_real,
                               tomogram.data)
     if batch is not None:
@@ -109,8 +108,7 @@ def _terms(tomogram, batch):
             return None
         i, j = idx[:, 0], idx[:, 1]
         amps, signs, meas, d = amps[i], signs[i], meas[j], d[i, j]
-    return (probe_terms((amps, signs)), probe_terms((amps, 2.0 * signs)),
-            meas, d)
+    return probe_terms((amps, signs)), meas, d
 
 
 def _objective(stack, terms, lam, with_grad):
@@ -127,12 +125,13 @@ def _objective(stack, terms, lam, with_grad):
                          where=mod >= _SIGN_EPS)
         grad *= lam
     if terms is not None:
-        factors, pull, meas, d = terms
-        res, phi = factored_expectations(blocks, factors, meas, d.ndim == 1)
+        probes, meas, d = terms
+        res, phi = factored_expectations(blocks, probes, meas, d.ndim == 1)
         res -= d                                    # e - d, in place
         value += float((res * res).sum())
         if with_grad:
-            grad += factored_pullback(phi, pull, meas, res, d.ndim == 1)
+            res += res              # sum r^2 pulls back as 2 r, exactly
+            grad += factored_pullback(phi, probes, meas, res, d.ndim == 1)
     return value, None if grad is None else grad.reshape(-1, n)
 
 
@@ -220,7 +219,7 @@ def fit(tomogram, cfg, init=None):
     overrides the random starting point; it must be a TP stack with cfg.k
     blocks of the tomogram's dimension.  The TP defect recorded after each
     step is the check the next step relies on: above 1e-8 or NaN, the fit
-    raises ValueError, as :func:`cayley_step` does.
+    raises np.linalg.LinAlgError, a numerical failure (a ValueError too).
 
     Returns (KrausStack, FitTrace).
     """
@@ -273,8 +272,8 @@ def fit(tomogram, cfg, init=None):
         t2 = time.perf_counter()
         defect = tp_defect(stack)
         if not defect <= VALID_TOL:  # NaN fails too
-            raise ValueError(f"step {it} left the orthonormal (TP) manifold: "
-                             f"tp_defect {defect:.3e}")
+            raise np.linalg.LinAlgError(f"step {it} left the orthonormal "
+                                        f"manifold: tp_defect {defect:.3e}")
         t3 = time.perf_counter()
         trace.grad_norm.append(gnorm)
         trace.eta.append(eta)

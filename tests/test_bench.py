@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from kraustomo import core, data
 from kraustomo.bench import (CSV_HEADER, SweepSpec, run_benchmark, run_sweep,
                              summarize)
 
@@ -66,6 +67,21 @@ class TestRunSweep:
         assert methods == {"gd", "cp_projection"}
         for row in rows:
             assert row["wall_time_s"] > 0
+
+    @pytest.mark.parametrize("sweep, values, methods", [
+        ("noise", [1e-2], ["gd", "pls"]), ("gamma", [1.0], ["gd", "pls"]),
+        ("timing", [2], ["gd"])])
+    def test_cells_synthesize_from_pauli_kets(self, monkeypatch, sweep,
+                                              values, methods):
+        # The Pauli sets enter as their kets: none is eigendecomposed.
+        def fail(states):
+            raise AssertionError("a Pauli set was eigendecomposed")
+        monkeypatch.setattr(core, "factor_states", fail)
+        monkeypatch.setattr(data, "factor_states", fail)
+        rows = run_sweep(small_spec(sweep=sweep, values=values, seeds=[0],
+                                    methods=methods))
+        assert [row["error"] for row in rows] == [""] * len(rows)
+        assert {row["method"] for row in rows} >= set(methods)
 
     def test_failed_cell_recorded(self):
         spec = small_spec(rank=2)

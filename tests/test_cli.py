@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,10 @@ from kraustomo.core import ChoiMatrix
 from kraustomo.cv import DEFAULT_ALPHA, snap_displace_process
 from kraustomo.data import complex_from_json, load
 from kraustomo.pls import cp_violation, tp_violation
+
+
+# 2 x 2 CV grids, cheaper than the 10 x 10 defaults.
+SMALL_GRIDS = ("--probe-grid=-1,1,-1,1,2,2", "--meas-grid=-1,1,-1,1,2,2")
 
 
 @pytest.fixture()
@@ -130,19 +135,36 @@ class TestSynth:
         assert "GiB" in err and len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("argv", [
-        ("--kind", "dv", "--noise", "nan"),
-        ("--kind", "dv", "--noise", "inf"),
-        ("--kind", "cv", "--alpha", "nan"),
-        ("--kind", "cv", "--alpha", "inf"),
-        ("--kind", "cv", "--theta", "0,nan"),
-    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[1:]))
+        pytest.param(("--kind", "dv", "--noise", "nan", *SMALL_GRIDS),
+                     id="dv-noise-nan"),
+        pytest.param(("--kind", "dv", "--noise", "inf", *SMALL_GRIDS),
+                     id="dv-noise-inf"),
+        pytest.param(("--kind", "cv", "--alpha", "nan", *SMALL_GRIDS),
+                     id="cv-alpha-nan"),
+        pytest.param(("--kind", "cv", "--alpha", "inf", *SMALL_GRIDS),
+                     id="cv-alpha-inf"),
+        pytest.param(("--kind", "cv", "--theta", "0,nan", *SMALL_GRIDS),
+                     id="cv-theta-0,nan"),
+        pytest.param(("--kind", "cv", "--alpha", "nan"),
+                     id="cv-alpha-nan-default-grids"),
+        pytest.param(("--kind", "cv", "--noise", "nan"),
+                     id="cv-noise-nan-default-grids"),
+        pytest.param(("--kind", "cv", "--noise", "-1"),
+                     id="cv-noise-negative-default-grids"),
+        pytest.param(("--kind", "cv", "--theta", "0,inf"),
+                     id="cv-theta-0,inf-default-grids"),
+    ])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, argv):
         out, csv_path = tmp_path / "d.json", tmp_path / "d.csv"
-        # Small grids at N = 8 stay clear of the truncation warning.
-        code = main(["synth", *argv, "--dim", "8",
-                     "--probe-grid=-1,1,-1,1,2,2", "--meas-grid=-1,1,-1,1,2,2",
-                     "--out", str(out), "--csv", str(csv_path)])
+        # Both grid sets warn at N = 8 (|alpha|^2 reaches N / 4 = 2, the
+        # small one by rounding); the input is rejected before any grid is
+        # built, so nothing warns and stderr holds one line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["synth", *argv, "--dim", "8", "--out", str(out),
+                         "--csv", str(csv_path)])
         assert code == EXIT_USAGE
+        assert [str(w.message) for w in caught] == []
         assert not out.exists() and not csv_path.exists()
         err = capsys.readouterr().err
         assert "finite" in err and len(err.splitlines()) == 1
@@ -287,6 +309,18 @@ class TestReconstruct:
                      str(dv_dataset), "--out", str(out)])
         assert code == EXIT_NUMERICAL
         assert not out.exists()
+
+    def test_step_off_the_manifold_exits_4(self, dv_dataset, tmp_path,
+                                           capsys, monkeypatch):
+        # The fit's TP guard is a numerical failure, not a usage error.
+        monkeypatch.setattr(gd, "_cayley",
+                            lambda stack, grad, eta: np.nan * stack)
+        out = tmp_path / "est.json"
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--iters", "5", "--out", str(out)])
+        assert code == EXIT_NUMERICAL and not out.exists()
+        err = capsys.readouterr().err
+        assert "tp_defect nan" in err and len(err.splitlines()) == 1
 
     def test_gd_trace_has_grad_norm_and_eta(self, dv_dataset, tmp_path):
         out = tmp_path / "est.json"

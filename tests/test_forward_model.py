@@ -10,7 +10,7 @@ from kraustomo import cv
 from kraustomo import data as data_module
 from kraustomo.cli import EXIT_USAGE, main
 from kraustomo.core import (factor_states, factored_expectations,
-                            factored_pullback, real_observables)
+                            factored_pullback, probe_terms, real_observables)
 from kraustomo.data import (complex_to_json, load, materialize_probes, save,
                             subsample, synthesize)
 from kraustomo.dv import pauli_projectors, random_process
@@ -135,17 +135,16 @@ class TestFactorStates:
         p, dim = probes.shape[:2]
         assert kets.shape == (p, dim)
         assert np.abs(_projectors(kets) - probes).max() <= 1e-15
-        kets, signs = kets[:, :, None], np.ones((p, 1))
+        terms = probe_terms((kets[:, :, None], np.ones((p, 1))))
+        eigh_terms = probe_terms(factor_states(probes))
         blocks = init_kraus(3, dim, np.random.default_rng(7)).blocks
         ident = np.eye(dim * dim)
-        u, phi = factored_expectations(blocks, (kets, signs), ident)
-        want, want_phi = factored_expectations(blocks, factor_states(probes),
-                                               ident)
+        u, phi = factored_expectations(blocks, terms, ident)
+        want, want_phi = factored_expectations(blocks, eigh_terms, ident)
         assert np.abs(u - want).max() <= RTOL * np.abs(want).max()
         coeffs = np.random.default_rng(8).normal(size=u.shape)
-        got = factored_pullback(phi, (kets, signs), ident, coeffs)
-        want = factored_pullback(want_phi, factor_states(probes), ident,
-                                 coeffs)
+        got = factored_pullback(phi, terms, ident, coeffs)
+        want = factored_pullback(want_phi, eigh_terms, ident, coeffs)
         assert np.abs(got - want).max() <= RTOL * np.abs(want).max()
 
     @pytest.mark.parametrize("dim, half_width", [(8, 0.9), (16, 1.4),
@@ -251,7 +250,8 @@ class TestRealObservables:
             i, j = idx[:, 0], idx[:, 1]
             amps, signs, rho = amps[i], signs[i], rho[i]
             meas, obs = meas[j], obs[j]
-        e, phi = factored_expectations(blocks, (amps, signs), obs, paired)
+        terms = probe_terms((amps, signs))
+        e, phi = factored_expectations(blocks, terms, obs, paired)
         want = dense_expectations(blocks, rho, meas)
         if paired:
             want = want[np.arange(len(i)), np.arange(len(i))]
@@ -259,7 +259,7 @@ class TestRealObservables:
         assert np.abs(e - want).max(initial=0.0) \
             <= RTOL * np.abs(want).max(initial=1.0)
         coeffs = np.random.default_rng(8).normal(size=e.shape)
-        got = factored_pullback(phi, (amps, signs), obs, coeffs, paired)
+        got = factored_pullback(phi, terms, obs, coeffs, paired)
         want = _dense_pullback(blocks, rho, meas, coeffs, paired)
         assert got.shape == want.shape == blocks.shape
         assert np.abs(got - want).max() <= RTOL * np.abs(want).max(initial=1.0)

@@ -377,6 +377,23 @@ class TestFitStops:
         fit(_golden_tomogram(), GdConfig(k=2, max_iters=30, seed=1))
         assert calls == {"factored_expectations": 31, "factored_pullback": 30}
 
+    @pytest.mark.parametrize("batch_size", [None, 10],
+                             ids=["full-batch", "minibatch"])
+    def test_probe_terms_built_once_per_set(self, monkeypatch, batch_size):
+        # Full batch: one set per fit.  Minibatch: one per pass (n_iters
+        # steps and the closing pass) and the full set for plateau checks.
+        calls = []
+        original = gd_module.probe_terms
+
+        def counting(factors):
+            calls.append(1)
+            return original(factors)
+        monkeypatch.setattr(gd_module, "probe_terms", counting)
+        _, trace = fit(_golden_tomogram(), GdConfig(
+            k=2, max_iters=30, seed=1, batch_size=batch_size))
+        assert trace.n_iters == 30
+        assert len(calls) == (1 if batch_size is None else 32)
+
     def test_one_tp_defect_per_iteration(self, monkeypatch):
         import kraustomo.gd as gd_module
         calls = []
