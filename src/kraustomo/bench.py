@@ -46,6 +46,12 @@ class SweepSpec:
             raise ValueError(f"unknown sweep kind {self.sweep!r}")
         if not self.values or not self.seeds:
             raise ValueError("sweep needs a non-empty value grid and seed list")
+        # Keys each cell sets itself: a gd entry for one would be dropped.
+        owned = ({"k", "seed", "batch_size", "max_iters"}
+                 if self.sweep == "timing" else {"k", "seed"})
+        if owned & set(self.gd):
+            raise ValueError(f"gd may not set {sorted(owned & set(self.gd))}: "
+                             f"the {self.sweep} sweep sets them per cell")
 
     @classmethod
     def from_json(cls, path):
@@ -58,8 +64,7 @@ class SweepSpec:
 
 
 def _gd_config(spec, k, seed, **extra):
-    kwargs = {"k": k, "seed": seed, **spec.gd, **extra}
-    return GdConfig(**kwargs)
+    return GdConfig(k=k, seed=seed, **spec.gd, **extra)
 
 
 def _row(value, seed, method, k, infid, iters, wall, error=""):

@@ -103,14 +103,6 @@ def _synth(args):
     return EXIT_OK
 
 
-def _print_and_store_fidelity(doc, tomogram, est_choi):
-    if tomogram.truth is not None:
-        metric = process_fidelity(kraus_to_choi(tomogram.truth), est_choi)
-        doc["fidelity"] = metric.fidelity
-        print(f"fidelity {metric.fidelity:.6f}  "
-              f"infidelity {metric.infidelity:.6e}")
-
-
 def cmd_reconstruct(args):
     tomogram = data.load(args.data)
     # An unwritable --out fails here, not after the fit.
@@ -125,31 +117,26 @@ def _reconstruct(args, tomogram):
                           lam=args.l1, max_iters=args.iters,
                           batch_size=args.batch, seed=args.seed)
         est, trace = gd.fit(tomogram, cfg)
-        doc = {
-            "schema_version": data.SCHEMA_VERSION,
-            "method": "gd",
-            "config": cfg.to_dict(),
-            "kraus": [data.complex_to_json(k) for k in est.blocks],
-            "trace": dataclasses.asdict(trace),
-            "wall_time_s": time.perf_counter() - t0,
-        }
-        _print_and_store_fidelity(doc, tomogram, kraus_to_choi(est))
+        result = {"kraus": [data.complex_to_json(k) for k in est.blocks],
+                  "trace": dataclasses.asdict(trace)}
     else:
         cfg = pls.PlsConfig(dykstra_max_iters=args.proj_iters,
                             dykstra_tol=args.proj_tol)
-        result = pls.fit_pls(tomogram, cfg)
-        doc = {
-            "schema_version": data.SCHEMA_VERSION,
-            "method": "pls",
-            "config": cfg.to_dict(),
-            "choi": data.complex_to_json(result.choi.mat),
-            "converged": result.converged,
-            "projection_cycles": result.cycles,
-            "wall_time_s": time.perf_counter() - t0,
-        }
-        _print_and_store_fidelity(doc, tomogram, result.choi)
-        print(f"converged: {str(result.converged).lower()} "
-              f"({result.cycles} projection cycles)")
+        est = pls.fit_pls(tomogram, cfg)
+        result = {"choi": data.complex_to_json(est.choi.mat),
+                  "converged": est.converged, "projection_cycles": est.cycles}
+    doc = {"schema_version": data.SCHEMA_VERSION, "method": args.method,
+           "config": cfg.to_dict(), **result,
+           "wall_time_s": time.perf_counter() - t0}
+    if tomogram.truth is not None:
+        est_choi = kraus_to_choi(est) if args.method == "gd" else est.choi
+        metric = process_fidelity(kraus_to_choi(tomogram.truth), est_choi)
+        doc["fidelity"] = metric.fidelity
+        print(f"fidelity {metric.fidelity:.6f}  "
+              f"infidelity {metric.infidelity:.6e}")
+    if args.method == "pls":
+        print(f"converged: {str(est.converged).lower()} "
+              f"({est.cycles} projection cycles)")
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(json.dumps(doc))

@@ -20,6 +20,10 @@ Tr[M_j sum_l K_l rho_i K_l^dag] are computed from phi_li = K_l A_i and T
 all run on it.  It is probe-major: phi is one product of the (P R, N)
 probe rows with the Kraus blocks, laid out (P, N, k R).  It reads the
 probes only as their :func:`probe_terms`, built once per set of probes.
+
+Process fidelity (:func:`process_fidelity`) takes one eigh of the first
+Choi matrix and the eigenvalues of an r x r matrix, r its numerical rank;
+no matrix square root or N^2 x N^2 product is formed.
 """
 
 from __future__ import annotations
@@ -299,36 +303,33 @@ def tp_defect(kraus):
     return float(np.sqrt(np.vdot(gram, gram).real))
 
 
-def _sqrtm_psd(mat):
-    """Square root of a Hermitian PSD matrix via eigendecomposition.
-
-    Eigenvalues in [-VALID_TOL, 0) are clipped to zero; anything below
-    -VALID_TOL is an error, not noise.
-    """
-    w, v = np.linalg.eigh(mat)
-    if w[0] < -VALID_TOL:
-        raise ValueError(f"matrix is not PSD: eigenvalue {w[0]:.3e} "
+def _psd_rank(w, n, what):
+    """Mask of ascending eigenvalues w above NumPy's matrix_rank cut for N^2
+    rows, max w * N^2 * eps; one below -VALID_TOL raises ValueError."""
+    if np.min(w, initial=0.0) < -VALID_TOL:
+        raise ValueError(f"{what} is not PSD: eigenvalue {w[0]:.3e} "
                          f"below -{VALID_TOL:.0e}")
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return w > w[-1:] * n * n * np.finfo(float).eps
 
 
 def process_fidelity(choi_a, choi_b):
     """Fidelity F = Tr sqrt(sqrt(A) B sqrt(A)) of trace-normalized Choi matrices.
 
-    Both inputs are divided by N (unit trace for TP channels) before the
-    comparison.  Returns a ProcessMetric with F clamped to [0, 1].
+    Both inputs are divided by N (unit trace for TP channels).  One eigh
+    gives A = X X^dag, X = V_r sqrt(w_r) on the r eigenvalues kept by
+    :func:`_psd_rank`; F sums the square roots of the kept eigenvalues of
+    the r x r matrix X^dag B X, the nonzero ones of sqrt(A) B sqrt(A).  The
+    eigenvalue noise of a rank-deficient side is cut, not square-rooted.
+    Returns a ProcessMetric with F clamped to [0, 1].
     """
     if choi_a.dim != choi_b.dim:
         raise ValueError(f"dimension mismatch: {choi_a.dim} vs {choi_b.dim}")
     n = choi_a.dim
     a = 0.5 * (choi_a.mat + choi_a.mat.conj().T) / n
     b = 0.5 * (choi_b.mat + choi_b.mat.conj().T) / n
-    ra = _sqrtm_psd(a)
-    inner = ra @ b @ ra
-    inner = 0.5 * (inner + inner.conj().T)
-    w = np.linalg.eigvalsh(inner)
-    if w[0] < -VALID_TOL:
-        raise ValueError(f"inner matrix not PSD: eigenvalue {w[0]:.3e}")
-    fid = float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+    w, v = np.linalg.eigh(a)
+    keep = _psd_rank(w, n, "matrix")
+    x = v[:, keep] * np.sqrt(w[keep])
+    lam = np.linalg.eigvalsh(x.conj().T @ b @ x)
+    fid = float(np.sum(np.sqrt(lam[_psd_rank(lam, n, "inner matrix")])))
     return ProcessMetric(min(max(fid, 0.0), 1.0))

@@ -39,9 +39,14 @@ class CvGrid:
 
     @property
     def points(self):
+        return self.points_at(np.arange(self.rows * self.cols))
+
+    def points_at(self, indices):
+        """The points at the given indices, from the two axes alone."""
+        r, c = np.divmod(np.asarray(indices, dtype=int), self.cols)
         re = np.linspace(self.re_min, self.re_max, self.rows)
         im = np.linspace(self.im_min, self.im_max, self.cols)
-        return (re[:, None] + 1j * im[None, :]).ravel()
+        return re[r] + 1j * im[c]
 
     def to_dict(self):
         return {"re_min": self.re_min, "re_max": self.re_max,

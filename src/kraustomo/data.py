@@ -256,15 +256,16 @@ def materialize_probes(spec, dim):
                 raise SchemaError(f"n_qubits {n!r} does not match dim {dim}")
             return dv.pauli_kets(n, _indices(spec, 6 ** n))
         if kind in ("coherent_grid", "displaced_parity_grid"):
-            pts = cv.CvGrid.from_dict(spec["grid"]).points
-            idx = _indices(spec, len(pts))
-            if idx is not None:
-                pts = pts[idx]
-            if ((len(pts) + 1) * _GRID_WORK_ARRAYS * dim ** 2 * 16
+            # Sized from rows x cols or the indices: no point is built yet.
+            grid = cv.CvGrid.from_dict(spec["grid"])
+            idx = _indices(spec, grid.rows * grid.cols)
+            count = grid.rows * grid.cols if idx is None else len(idx)
+            if ((count + 1) * _GRID_WORK_ARRAYS * dim ** 2 * 16
                     > _MAX_GRID_BYTES):
                 raise MemoryError(
-                    f"a {kind} of {len(pts)} points at dim {dim} needs more "
+                    f"a {kind} of {count} points at dim {dim} needs more "
                     f"than {_MAX_GRID_BYTES >> 30} GiB")
+            pts = grid.points if idx is None else grid.points_at(idx)
             if kind == "coherent_grid":
                 return cv.coherent_ket(pts, dim)
             return cv.displaced_parity(pts, dim)

@@ -4,7 +4,9 @@ The forward model is the one the package ran before probes were factored
 as rho_i = A_i S_i A_i^dag: every output state K_l rho_i K_l^dag is formed
 with two N x N x N products per probe and Kraus block.  The CV builders
 run one eigh per phase-space point, as the package did before
-:mod:`kraustomo.cv` shared one eigh among all the points of a call.
+:mod:`kraustomo.cv` shared one eigh among all the points of a call.  The
+process fidelity is the N^2 x N^2 sqrt(A) B sqrt(A) sandwich the package
+computed before it took the eigenvalues of the r x r matrix X^dag B X.
 """
 
 import numpy as np
@@ -80,3 +82,18 @@ def snap_displace_per_point(alpha, phases, dim):
     """The unitary D(alpha) S(phases) D(-alpha), one displacement each."""
     return (displacement_per_point(alpha, dim) @ snap(phases, dim)
             @ displacement_per_point(-alpha, dim))
+
+
+def dense_process_fidelity(choi_a, choi_b):
+    """Tr sqrt(sqrt(A) B sqrt(A)) of the trace-normalized Choi matrices with
+    the dense matrix square root; eigenvalues below zero are clipped.  The
+    full-rank oracle: on a rank-deficient side it square-roots the
+    eigenvalue noise, so it reads high by up to ~5e-7 there."""
+    n = choi_a.dim
+    a = 0.5 * (choi_a.mat + choi_a.mat.conj().T) / n
+    b = 0.5 * (choi_b.mat + choi_b.mat.conj().T) / n
+    w, v = np.linalg.eigh(a)
+    ra = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    inner = ra @ b @ ra
+    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
+    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))

@@ -12,9 +12,11 @@ from kraustomo.bench import (CSV_HEADER, SweepSpec, run_benchmark, run_sweep,
 
 def small_spec(**overrides):
     base = dict(sweep="noise", values=[1e-2], seeds=[0, 1], n_qubits=1,
-                rank=2, kraus=[2], methods=["gd"],
-                gd={"max_iters": 20})
+                rank=2, kraus=[2], methods=["gd"])
     base.update(overrides)
+    # A timing cell sets max_iters itself; the other sweeps cap it at 20.
+    base.setdefault("gd", {} if base["sweep"] == "timing"
+                    else {"max_iters": 20})
     return SweepSpec(**base)
 
 
@@ -26,6 +28,21 @@ class TestSweepSpec:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
             small_spec(values=[])
+
+    @pytest.mark.parametrize("sweep, gd", [
+        ("noise", {"k": 1}), ("gamma", {"seed": 3}),
+        ("timing", {"k": 1}), ("timing", {"max_iters": 50}),
+        ("timing", {"batch_size": 8})])
+    def test_rejects_gd_keys_the_cells_set(self, sweep, gd):
+        # A cell's own k, seed (and a timing cell's batch_size and
+        # max_iters) would replace the entry, or the row would mislabel it.
+        with pytest.raises(ValueError, match="gd may not set"):
+            small_spec(sweep=sweep, gd=gd)
+
+    def test_keeps_gd_keys_the_cells_leave(self):
+        assert small_spec(gd={"max_iters": 5, "batch_size": 8}).gd == {
+            "max_iters": 5, "batch_size": 8}
+        assert small_spec(sweep="timing", gd={"lam": 0.0}).gd == {"lam": 0.0}
 
     def test_from_json(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -500,6 +500,8 @@ class TestBenchmarkCommand:
         ([1, 2], "JSON object"),
         ({"sweep": "noise", "values": [1], "seeds": [0], "colour": 1},
          "colour"),
+        ({"sweep": "noise", "values": [1e-2], "seeds": [0], "kraus": [4],
+          "gd": {"k": 1}}, "gd may not set"),
     ])
     def test_bad_spec_exits_2(self, tmp_path, capsys, doc, match):
         spec = tmp_path / "spec.json"

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
+from kraustomo import cv
 from kraustomo.core import (ChoiMatrix, DensityMatrix, KrausStack,
                             apply_kraus, choi_apply, kraus_to_choi,
                             partial_trace_out, process_fidelity, tp_defect)
-from kraustomo.dv import random_process
+from kraustomo.data import synthesize
+from kraustomo.dv import pauli_kets, random_process, random_unitary
+from kraustomo.gd import GdConfig, fit
+from kraustomo.pls import fit_pls
+
+from dense_oracle import dense_process_fidelity
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -186,3 +192,63 @@ class TestProcessFidelity:
         with pytest.raises(ValueError, match="dimension"):
             process_fidelity(kraus_to_choi(KrausStack(np.eye(2)[None])),
                              kraus_to_choi(KrausStack(np.eye(3)[None])))
+
+
+def kraus_form_fidelity(kraus_a, kraus_b):
+    """||V^dag W||_1 / N for the stacked |K_l> of two Kraus stacks."""
+    def vecs(kraus):
+        return kraus.blocks.transpose(0, 2, 1).reshape(kraus.count, -1)
+    overlap = vecs(kraus_a).conj() @ vecs(kraus_b).T
+    return float(np.linalg.svd(overlap, compute_uv=False).sum()) / kraus_a.dim
+
+
+class TestFidelityOracles:
+    """process_fidelity against the dense sqrt(A) B sqrt(A) oracle at full
+    rank, and against the analytic and Kraus-form values at low rank."""
+
+    @pytest.fixture(scope="class")
+    def dv2_pairs(self):
+        ops, pairs = pauli_kets(2), []
+        for seed in range(3):
+            process = random_process(4, 16, np.random.default_rng([seed, 1000]))
+            tomogram = synthesize(process, ops, ops, 1e-2,
+                                  np.random.default_rng([seed, 2000]))
+            truth = kraus_to_choi(process)
+            est, _ = fit(tomogram, GdConfig(k=16, seed=seed))
+            pairs += [(truth, kraus_to_choi(est)),
+                      (truth, fit_pls(tomogram).choi)]
+        return pairs
+
+    def test_full_rank_matches_dense_oracle(self, dv2_pairs):
+        for truth, est in dv2_pairs:
+            assert abs(process_fidelity(truth, est).fidelity
+                       - dense_process_fidelity(truth, est)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 8, 16])
+    def test_unitary_pairs_match_trace_overlap(self, dim):
+        rng = np.random.default_rng(dim)
+        u, v = random_unitary(dim, rng), random_unitary(dim, rng)
+        exact = abs(np.trace(u.conj().T @ v)) / dim
+        a, b = (kraus_to_choi(KrausStack(m[None])) for m in (u, v))
+        assert abs(process_fidelity(a, b).fidelity - exact) <= 1e-12
+        assert abs(process_fidelity(b, a).fidelity - exact) <= 1e-12
+
+    @pytest.mark.filterwarnings("ignore:.*truncation")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_low_rank_cv_fit_matches_kraus_form(self, seed):
+        process = cv.snap_displace_process(dim=16)
+        tomogram = synthesize(
+            process, cv.coherent_ket(cv.probe_grid().points, 16),
+            cv.displaced_parity(cv.measurement_grid().points, 16), 1e-2,
+            np.random.default_rng([seed, 1]), kind="cv")
+        est, _ = fit(tomogram, GdConfig(k=3, seed=seed))
+        exact = kraus_form_fidelity(process, est)
+        truth, est_choi = kraus_to_choi(process), kraus_to_choi(est)
+        assert abs(process_fidelity(truth, est_choi).fidelity - exact) <= 1e-12
+        assert abs(process_fidelity(est_choi, truth).fidelity - exact) <= 1e-12
+
+    def test_zero_choi_first_gives_zero(self, rng):
+        good = kraus_to_choi(random_process(2, 2, rng))
+        zero = ChoiMatrix(np.zeros((4, 4)))
+        assert process_fidelity(zero, good).fidelity == 0.0
+        assert dense_process_fidelity(zero, good) == 0.0

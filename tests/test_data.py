@@ -327,6 +327,34 @@ class TestMaterializeProbes:
 
     @pytest.mark.parametrize("kind", ["coherent_grid",
                                       "displaced_parity_grid"])
+    def test_cv_grid_is_sized_before_it_is_built(self, monkeypatch, kind):
+        # A 20000 x 20000 grid is 6.4 GB of points: the guard reads rows x
+        # cols, or the indices, before any point exists.
+        def built(*args):
+            raise AssertionError("grid points built before the guard")
+        monkeypatch.setattr(CvGrid, "points", property(built))
+        big = CvGrid(0, 1, 0, 1, 20000, 20000).to_dict()
+        with pytest.raises(MemoryError, match="GiB"):
+            materialize_probes({"type": kind, "grid": big}, 8)
+        monkeypatch.setattr(CvGrid, "points_at", built)
+        with pytest.raises(MemoryError, match="GiB"):
+            materialize_probes({"type": kind, "grid": big, "indices": [0]},
+                               20000)
+
+    def test_cv_grid_subset_builds_only_its_points(self, monkeypatch):
+        grid = CvGrid(-1, 1, -2, 2, 5, 7)
+        idx = [0, 6, 17, 34, 17]
+        assert np.array_equal(grid.points_at(idx), grid.points[idx])
+        monkeypatch.setattr(CvGrid, "points", property(
+            lambda self: pytest.fail("the full grid was built")))
+        big = CvGrid(0, 1, 0, 1, 20000, 20000)
+        kets = materialize_probes({"type": "coherent_grid",
+                                   "grid": big.to_dict(), "indices": [0, 5]},
+                                  8)
+        assert np.allclose(kets, cv.coherent_ket(big.points_at([0, 5]), 8))
+
+    @pytest.mark.parametrize("kind", ["coherent_grid",
+                                      "displaced_parity_grid"])
     def test_cv_grid_under_the_guard_fits_it(self, monkeypatch, kind):
         # The guard scaled down from 2 GiB so that the grid it just admits
         # (50 points at N = 32) is cheap to build; tracemalloc does not see
