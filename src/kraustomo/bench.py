@@ -73,7 +73,7 @@ def _row(value, seed, method, k, infid, iters, wall, error=""):
             "error": error}
 
 
-def _reconstruct_rows(spec, value, seed, tomogram, truth_choi):
+def _reconstruct_rows(spec, value, seed, tomogram, truth):
     rows = []
     for method in spec.methods:
         if method == "gd":
@@ -81,8 +81,7 @@ def _reconstruct_rows(spec, value, seed, tomogram, truth_choi):
                 t0 = time.perf_counter()
                 est, trace = fit(tomogram, _gd_config(spec, k, seed))
                 wall = time.perf_counter() - t0
-                infid = process_fidelity(truth_choi,
-                                         kraus_to_choi(est)).infidelity
+                infid = process_fidelity(truth, est).infidelity
                 rows.append(_row(value, seed, "gd", k, infid,
                                  trace.n_iters, wall))
         elif method == "pls":
@@ -94,7 +93,7 @@ def _reconstruct_rows(spec, value, seed, tomogram, truth_choi):
                                  time.perf_counter() - t0))
                 continue
             wall = time.perf_counter() - t0
-            infid = process_fidelity(truth_choi, res.choi).infidelity
+            infid = process_fidelity(truth, res.choi).infidelity
             rows.append(_row(value, seed, "pls", "", infid, res.cycles, wall))
         else:
             raise ValueError(f"unknown method {method!r}")
@@ -108,7 +107,7 @@ def _noise_cell(spec, idx, eps, seed):
     tomogram = synthesize(process, ops, ops, eps,
                           np.random.default_rng([seed, 2000 + idx]),
                           kind="dv", seed=seed)
-    return _reconstruct_rows(spec, eps, seed, tomogram, kraus_to_choi(process))
+    return _reconstruct_rows(spec, eps, seed, tomogram, process)
 
 
 def _gamma_cell(spec, idx, gamma, seed):
@@ -120,7 +119,7 @@ def _gamma_cell(spec, idx, gamma, seed):
                           np.random.default_rng([seed, 2000]),
                           kind="dv", seed=seed)
     sub = subsample(tomogram, gamma, np.random.default_rng([seed, 3000 + idx]))
-    return _reconstruct_rows(spec, gamma, seed, sub, kraus_to_choi(process))
+    return _reconstruct_rows(spec, gamma, seed, sub, process)
 
 
 def _timing_cell(spec, idx, n, seed):

@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from . import bench, cv, data, dv, gd, pls
-from .core import ChoiMatrix, KrausStack, kraus_to_choi, process_fidelity
+from .core import ChoiMatrix, KrausStack, process_fidelity
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -129,8 +129,8 @@ def _reconstruct(args, tomogram):
            "config": cfg.to_dict(), **result,
            "wall_time_s": time.perf_counter() - t0}
     if tomogram.truth is not None:
-        est_choi = kraus_to_choi(est) if args.method == "gd" else est.choi
-        metric = process_fidelity(kraus_to_choi(tomogram.truth), est_choi)
+        metric = process_fidelity(tomogram.truth,
+                                  est if args.method == "gd" else est.choi)
         doc["fidelity"] = metric.fidelity
         print(f"fidelity {metric.fidelity:.6f}  "
               f"infidelity {metric.infidelity:.6e}")
@@ -144,27 +144,32 @@ def _reconstruct(args, tomogram):
     return EXIT_OK
 
 
-def _choi_from_file(path):
+def _channel_from_file(path):
+    """The channel a reconstruction or dataset file stores, in the form it
+    stores it: a KrausStack (``kraus``, or a dataset's ``truth``) or a
+    ChoiMatrix (``choi``).  A non-finite entry raises SchemaError."""
     doc = data.read_document(path)
     try:
         if doc.get("method") == "gd" or "kraus" in doc:
-            blocks = np.array([data.complex_from_json(k) for k in doc["kraus"]])
-            return kraus_to_choi(KrausStack(blocks))
-        if doc.get("method") == "pls" or "choi" in doc:
-            return ChoiMatrix(data.complex_from_json(doc["choi"]))
-        if "truth" in doc:
-            truth = data.expect_object(doc["truth"], "truth")
-            blocks = np.array([data.complex_from_json(k)
-                               for k in truth["kraus"]])
-            return kraus_to_choi(KrausStack(blocks))
+            form, payload = KrausStack, doc["kraus"]
+        elif doc.get("method") == "pls" or "choi" in doc:
+            form, payload = ChoiMatrix, doc["choi"]
+        elif "truth" in doc:
+            form = KrausStack
+            payload = data.expect_object(doc["truth"], "truth")["kraus"]
+        else:
+            raise data.SchemaError(f"no Kraus or Choi payload in {path}")
     except KeyError as exc:
         raise data.SchemaError(f"missing key {exc} in {path}") from exc
-    raise data.SchemaError(f"no Kraus or Choi payload in {path}")
+    mat = data.complex_from_json(payload)
+    if not np.isfinite(mat).all():
+        raise data.SchemaError(f"non-finite channel entry in {path}")
+    return form(mat)
 
 
 def cmd_fidelity(args):
-    metric = process_fidelity(_choi_from_file(args.file_a),
-                              _choi_from_file(args.file_b))
+    metric = process_fidelity(_channel_from_file(args.file_a),
+                              _channel_from_file(args.file_b))
     print(f"{metric.fidelity:.12f}")
     print(f"{metric.infidelity:.12e}")
     return EXIT_OK

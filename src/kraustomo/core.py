@@ -21,9 +21,13 @@ all run on it.  It is probe-major: phi is one product of the (P R, N)
 probe rows with the Kraus blocks, laid out (P, N, k R).  It reads the
 probes only as their :func:`probe_terms`, built once per set of probes.
 
-Process fidelity (:func:`process_fidelity`) takes one eigh of the first
-Choi matrix and the eigenvalues of an r x r matrix, r its numerical rank;
-no matrix square root or N^2 x N^2 product is formed.
+Process fidelity (:func:`process_fidelity`) takes either form, Kraus
+stack or Choi matrix, for each side.  A Kraus side is its own factor
+(its stacked |K_l>), so a call with one runs no N^2 x N^2 eigh and builds
+no Choi matrix; two Kraus sides take the singular values of a k_a x k_b
+overlap matrix.  Two Choi sides take one eigh of the first and the
+eigenvalues of an r x r matrix, r its numerical rank.  No matrix square
+root is formed.
 """
 
 from __future__ import annotations
@@ -312,24 +316,52 @@ def _psd_rank(w, n, what):
     return w > w[-1:] * n * n * np.finfo(float).eps
 
 
-def process_fidelity(choi_a, choi_b):
-    """Fidelity F = Tr sqrt(sqrt(A) B sqrt(A)) of trace-normalized Choi matrices.
+def _factor(channel, n):
+    """X with X X^dag = Phi / N: a Kraus stack's |K_l> / sqrt(N) as columns,
+    or a Choi matrix's V_r sqrt(w_r) on the eigenvalues :func:`_psd_rank`
+    keeps."""
+    if isinstance(channel, KrausStack):
+        vecs = channel.blocks.transpose(2, 1, 0).reshape(n * n, -1)
+        return vecs / np.sqrt(n)
+    w, v = np.linalg.eigh(0.5 * (channel.mat + channel.mat.conj().T) / n)
+    keep = _psd_rank(w, n, "matrix")
+    return v[:, keep] * np.sqrt(w[keep])
 
-    Both inputs are divided by N (unit trace for TP channels).  One eigh
-    gives A = X X^dag, X = V_r sqrt(w_r) on the r eigenvalues kept by
-    :func:`_psd_rank`; F sums the square roots of the kept eigenvalues of
-    the r x r matrix X^dag B X, the nonzero ones of sqrt(A) B sqrt(A).  The
-    eigenvalue noise of a rank-deficient side is cut, not square-rooted.
-    Returns a ProcessMetric with F clamped to [0, 1].
+
+def process_fidelity(choi_a, choi_b):
+    """Fidelity F = Tr sqrt(sqrt(A) B sqrt(A)) of two channels, each given as
+    a KrausStack or a ChoiMatrix.
+
+    A and B are the Choi matrices divided by N (unit trace for TP
+    channels).  F = sum sqrt(lambda) over the eigenvalues lambda of
+    X^dag B X above :func:`_psd_rank`'s cut, with A = X X^dag from
+    :func:`_factor`: the nonzero eigenvalues of sqrt(A) B sqrt(A).  F is
+    symmetric, so a Kraus side is the one factored: X is then its stacked
+    |K_l> / sqrt(N), and no N^2 x N^2 eigh runs.  When B is a Kraus stack
+    too, with factor Y, the lambda are the squared singular values of
+    X^dag Y, so F is its nuclear norm (Uhlmann) less the values below the
+    cut.  The eigenvalue noise of a rank-deficient side is cut, not
+    square-rooted, and every form cuts alike, so the forms agree to
+    ~1e-12.  A non-finite entry raises ValueError.  Returns a
+    ProcessMetric with F clamped to [0, 1].
     """
     if choi_a.dim != choi_b.dim:
         raise ValueError(f"dimension mismatch: {choi_a.dim} vs {choi_b.dim}")
+    for side in (choi_a, choi_b):
+        mat = side.blocks if isinstance(side, KrausStack) else side.mat
+        if not np.isfinite(mat).all():
+            raise ValueError("channel entries must be finite")
+    if isinstance(choi_b, KrausStack) and not isinstance(choi_a, KrausStack):
+        choi_a, choi_b = choi_b, choi_a
     n = choi_a.dim
-    a = 0.5 * (choi_a.mat + choi_a.mat.conj().T) / n
-    b = 0.5 * (choi_b.mat + choi_b.mat.conj().T) / n
-    w, v = np.linalg.eigh(a)
-    keep = _psd_rank(w, n, "matrix")
-    x = v[:, keep] * np.sqrt(w[keep])
-    lam = np.linalg.eigvalsh(x.conj().T @ b @ x)
+    x = _factor(choi_a, n)
+    if isinstance(choi_b, KrausStack):
+        # X^dag B X = C C^dag for C = X^dag Y, so its eigenvalues are the
+        # squared singular values of C; C C^dag is never formed.
+        c = x.conj().T @ _factor(choi_b, n)
+        lam = np.linalg.svd(c, compute_uv=False)[::-1] ** 2
+    else:
+        b = 0.5 * (choi_b.mat + choi_b.mat.conj().T) / n
+        lam = np.linalg.eigvalsh(x.conj().T @ b @ x)
     fid = float(np.sum(np.sqrt(lam[_psd_rank(lam, n, "inner matrix")])))
     return ProcessMetric(min(max(fid, 0.0), 1.0))

@@ -42,8 +42,12 @@ def complex_to_json(mat):
 
 
 def complex_from_json(obj):
-    """Decode nested [re, im] lists back into a complex array."""
+    """Decode nested [re, im] lists back into a complex array; SchemaError
+    if the innermost lists are not pairs."""
     arr = np.asarray(obj, dtype=float)
+    if arr.shape[-1:] != (2,):
+        raise SchemaError(f"expected nested [re, im] pairs, got an array "
+                          f"of shape {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -74,7 +78,8 @@ class Tomogram:
     factors (A, S) of :func:`core.factor_states` (pure probes: their kets)
     and the real (Q, N^2) measurement matrix T of
     :func:`core.real_observables`.  ``probes`` and ``measurements`` rebuild
-    the dense stacks on each access.  Data and noise_sigma must be finite.
+    the dense stacks on each access.  Data, noise_sigma and the truth's
+    Kraus entries must be finite, and the truth must have dimension dim.
     """
 
     def __init__(self, kind, dim, probe_factors, meas_real, data, noise_sigma,
@@ -93,6 +98,10 @@ class Tomogram:
             raise ValueError(f"noise_sigma {noise_sigma} must be finite, >= 0")
         if not np.isfinite(self.data).all():
             raise ValueError("data must be finite")
+        if truth is not None and truth.dim != self.dim:
+            raise ValueError(f"truth has dim {truth.dim}, expected {self.dim}")
+        if truth is not None and not np.isfinite(truth.blocks).all():
+            raise ValueError("truth must be finite")
         self.noise_sigma = float(noise_sigma)
         self.seed = seed
         self.probe_spec = probe_spec or {"type": "explicit"}
@@ -330,7 +339,7 @@ def load(path):
         truth = None
         if "truth" in doc:
             kraus = expect_object(doc["truth"], "truth")["kraus"]
-            truth = KrausStack(np.array([complex_from_json(k) for k in kraus]))
+            truth = KrausStack(complex_from_json(kraus))
         factors, meas_real = _forms(
             materialize_probes(doc["probes"], dim),
             materialize_probes(doc["measurements"], dim))

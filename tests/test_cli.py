@@ -398,6 +398,22 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("method, fit", [("gd", "fit"),
+                                             ("pls", "fit_pls")])
+    def test_non_finite_truth_exits_2_before_the_fit(
+            self, dv_dataset, tmp_path, capsys, monkeypatch, method, fit):
+        doc = json.loads(dv_dataset.read_text())
+        doc["truth"]["kraus"][1][0][1][0] = float("nan")
+        dv_dataset.write_text(json.dumps(doc))
+        module = gd if method == "gd" else pls
+        monkeypatch.setattr(module, fit, lambda *a, **k: pytest.fail("fit"))
+        out = tmp_path / "est.json"
+        code = main(["reconstruct", "--method", method, "--data",
+                     str(dv_dataset), "--out", str(out)])
+        assert code == EXIT_USAGE and not out.exists()
+        err = capsys.readouterr().err
+        assert "truth must be finite" in err and len(err.splitlines()) == 1
+
     @pytest.mark.parametrize("argv", [
         ("--method", "gd", "--lr", "nan"),
         ("--method", "gd", "--lr", "inf"),
@@ -459,6 +475,38 @@ class TestFidelity:
         assert main(["fidelity", str(gd_est), str(pls_est)]) == EXIT_OK
         fid = float(capsys.readouterr().out.splitlines()[0])
         assert 0.5 <= fid <= 1.0
+
+    @pytest.mark.parametrize("payload", ["kraus", "choi", "truth"])
+    def test_non_finite_payload_exits_2(self, dv_dataset, tmp_path, capsys,
+                                        payload):
+        bad = dv_dataset
+        if payload != "truth":
+            bad = tmp_path / f"{payload}.json"
+            method = "gd" if payload == "kraus" else "pls"
+            main(["reconstruct", "--method", method, "--data",
+                  str(dv_dataset), "--iters", "5", "--out", str(bad)])
+        doc = json.loads(bad.read_text())
+        # Rows of the Choi matrix or of the first Kraus block.
+        rows = (doc["choi"] if payload == "choi" else doc["kraus"][0]
+                if payload == "kraus" else doc["truth"]["kraus"][0])
+        rows[0][1] = [float("inf"), float("nan")]
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["fidelity", str(dv_dataset), str(bad)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ("non-finite" in captured.err
+                and len(captured.err.splitlines()) == 1)
+
+    @pytest.mark.parametrize("doc", [
+        {"kraus": []}, {"kraus": [1, 2]}, {"kraus": [[[1]]]}, {"choi": []}],
+        ids=["kraus-empty", "kraus-flat", "kraus-no-pairs", "choi-empty"])
+    def test_malformed_payload_exits_2(self, tmp_path, capsys, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema_version": 1, **doc}))
+        assert main(["fidelity", str(bad), str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_truth_payload_missing_kraus(self, dv_dataset, capsys):
         doc = json.loads(dv_dataset.read_text())

@@ -1,11 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
-from kraustomo import cv
+from kraustomo import bench, cli, core, cv
 from kraustomo.core import (ChoiMatrix, DensityMatrix, KrausStack,
                             apply_kraus, choi_apply, kraus_to_choi,
                             partial_trace_out, process_fidelity, tp_defect)
-from kraustomo.data import synthesize
+from kraustomo.data import SCHEMA_VERSION, complex_to_json, synthesize
 from kraustomo.dv import pauli_kets, random_process, random_unitary
 from kraustomo.gd import GdConfig, fit
 from kraustomo.pls import fit_pls
@@ -193,6 +195,35 @@ class TestProcessFidelity:
             process_fidelity(kraus_to_choi(KrausStack(np.eye(2)[None])),
                              kraus_to_choi(KrausStack(np.eye(3)[None])))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite(self, rng, value):
+        good = random_process(2, 2, rng)
+        bad = KrausStack(good.blocks.copy())
+        bad.blocks[1, 0, 1] = value
+        for x in forms(bad):
+            for a, b in [(x, good), (good, x), (x, kraus_to_choi(good))]:
+                with pytest.raises(ValueError, match="finite"):
+                    process_fidelity(a, b)
+
+
+def forms(channel):
+    """The forms process_fidelity takes of a channel: a Kraus stack and its
+    Choi matrix, or a Choi matrix alone."""
+    if isinstance(channel, KrausStack):
+        return [channel, kraus_to_choi(channel)]
+    return [channel]
+
+
+def fidelities(a, b):
+    """process_fidelity of every form of a against every form of b, in both
+    orders.  A Choi-only b (a PLS estimate, PSD only to ~1e-9) is not put
+    first against a Choi matrix: that order cuts its negative eigenvalues,
+    which moves F by about their size."""
+    pairs = [(x, y) for x in forms(a) for y in forms(b)]
+    pairs += [(y, x) for x, y in pairs
+              if isinstance(b, KrausStack) or isinstance(x, KrausStack)]
+    return np.array([process_fidelity(x, y).fidelity for x, y in pairs])
+
 
 def kraus_form_fidelity(kraus_a, kraus_b):
     """||V^dag W||_1 / N for the stacked |K_l> of two Kraus stacks."""
@@ -204,7 +235,8 @@ def kraus_form_fidelity(kraus_a, kraus_b):
 
 class TestFidelityOracles:
     """process_fidelity against the dense sqrt(A) B sqrt(A) oracle at full
-    rank, and against the analytic and Kraus-form values at low rank."""
+    rank, and against the analytic and Kraus-form values at low rank, with
+    each side given in every form it takes."""
 
     @pytest.fixture(scope="class")
     def dv2_pairs(self):
@@ -213,25 +245,36 @@ class TestFidelityOracles:
             process = random_process(4, 16, np.random.default_rng([seed, 1000]))
             tomogram = synthesize(process, ops, ops, 1e-2,
                                   np.random.default_rng([seed, 2000]))
-            truth = kraus_to_choi(process)
             est, _ = fit(tomogram, GdConfig(k=16, seed=seed))
-            pairs += [(truth, kraus_to_choi(est)),
-                      (truth, fit_pls(tomogram).choi)]
+            pairs += [(process, est), (process, fit_pls(tomogram).choi)]
         return pairs
 
     def test_full_rank_matches_dense_oracle(self, dv2_pairs):
         for truth, est in dv2_pairs:
-            assert abs(process_fidelity(truth, est).fidelity
-                       - dense_process_fidelity(truth, est)) <= 1e-12
+            oracle = dense_process_fidelity(forms(truth)[-1], forms(est)[-1])
+            assert np.abs(fidelities(truth, est) - oracle).max() <= 1e-12
+
+    def test_every_form_cuts_alike(self):
+        # A dv2 GD fit (a benchmark sweep cell) where X^dag B X has a true
+        # eigenvalue of ~2.5e-16, below the cut: the uncut nuclear norm
+        # reads 1.6e-8 above the Choi path, and every form cuts it alike.
+        seed, ops = 1695817160, pauli_kets(2)
+        process = random_process(4, 16, np.random.default_rng([seed, 1000]))
+        tomogram = synthesize(process, ops, ops, 1e-2,
+                              np.random.default_rng([seed, 2000]))
+        est, _ = fit(tomogram, GdConfig(k=16, seed=seed))
+        choi_path = process_fidelity(kraus_to_choi(process),
+                                     kraus_to_choi(est)).fidelity
+        assert kraus_form_fidelity(process, est) - choi_path > 1e-9
+        assert np.abs(fidelities(process, est) - choi_path).max() <= 1e-12
 
     @pytest.mark.parametrize("dim", [2, 8, 16])
     def test_unitary_pairs_match_trace_overlap(self, dim):
         rng = np.random.default_rng(dim)
         u, v = random_unitary(dim, rng), random_unitary(dim, rng)
         exact = abs(np.trace(u.conj().T @ v)) / dim
-        a, b = (kraus_to_choi(KrausStack(m[None])) for m in (u, v))
-        assert abs(process_fidelity(a, b).fidelity - exact) <= 1e-12
-        assert abs(process_fidelity(b, a).fidelity - exact) <= 1e-12
+        f = fidelities(KrausStack(u[None]), KrausStack(v[None]))
+        assert len(f) == 8 and np.abs(f - exact).max() <= 1e-12
 
     @pytest.mark.filterwarnings("ignore:.*truncation")
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -243,12 +286,87 @@ class TestFidelityOracles:
             np.random.default_rng([seed, 1]), kind="cv")
         est, _ = fit(tomogram, GdConfig(k=3, seed=seed))
         exact = kraus_form_fidelity(process, est)
-        truth, est_choi = kraus_to_choi(process), kraus_to_choi(est)
-        assert abs(process_fidelity(truth, est_choi).fidelity - exact) <= 1e-12
-        assert abs(process_fidelity(est_choi, truth).fidelity - exact) <= 1e-12
+        assert np.abs(fidelities(process, est) - exact).max() <= 1e-12
+
+    def test_rank_deficient_kraus_side_matches_choi_form(self, rng):
+        u = random_unitary(4, rng) / np.sqrt(2)
+        repeated = KrausStack(np.array([u, u]))     # rank 1, k = 2
+        other = random_process(4, 3, rng)
+        exact = kraus_form_fidelity(repeated, other)
+        assert np.abs(fidelities(repeated, other) - exact).max() <= 1e-12
 
     def test_zero_choi_first_gives_zero(self, rng):
-        good = kraus_to_choi(random_process(2, 2, rng))
-        zero = ChoiMatrix(np.zeros((4, 4)))
-        assert process_fidelity(zero, good).fidelity == 0.0
-        assert dense_process_fidelity(zero, good) == 0.0
+        good = random_process(2, 2, rng)
+        for zero in (ChoiMatrix(np.zeros((4, 4))),
+                     KrausStack(np.zeros((2, 2, 2)))):
+            for other in forms(good):
+                assert process_fidelity(zero, other).fidelity == 0.0
+        assert dense_process_fidelity(ChoiMatrix(np.zeros((4, 4))),
+                                      kraus_to_choi(good)) == 0.0
+
+    def test_kraus_choi_dimension_mismatch_raises(self):
+        two, three = KrausStack(np.eye(2)[None]), KrausStack(np.eye(3)[None])
+        for a, b in [(two, kraus_to_choi(three)), (kraus_to_choi(two), three),
+                     (two, three)]:
+            for x, y in [(a, b), (b, a)]:
+                with pytest.raises(ValueError, match="dimension"):
+                    process_fidelity(x, y)
+
+    def test_cli_and_sweep_build_no_choi_matrix(self, tmp_path, monkeypatch):
+        data_path, out = tmp_path / "dv.json", tmp_path / "est.json"
+        assert cli.main(["synth", "--kind", "dv", "--qubits", "1", "--rank",
+                         "2", "--noise", "0.01", "--out",
+                         str(data_path)]) == cli.EXIT_OK
+        to_choi, calls = core.kraus_to_choi, []
+
+        def recorded(a, b):
+            metric = core.process_fidelity(a, b)
+            calls.append((a, b, metric.fidelity))
+            return metric
+
+        def refuse(kraus):
+            raise RuntimeError("kraus_to_choi on a fidelity path")
+
+        for module in (core, bench, cli):
+            monkeypatch.setattr(module, "kraus_to_choi", refuse, raising=False)
+        monkeypatch.setattr(cli, "process_fidelity", recorded)
+        monkeypatch.setattr(bench, "process_fidelity", recorded)
+        assert cli.main(["reconstruct", "--method", "gd", "--data",
+                         str(data_path), "--iters", "20", "--out",
+                         str(out)]) == cli.EXIT_OK
+        rows = bench.run_sweep(bench.SweepSpec(
+            sweep="noise", values=[1e-2], seeds=[0], n_qubits=1, rank=2,
+            kraus=[2], methods=["gd", "pls"], gd={"max_iters": 20}))
+        monkeypatch.undo()
+
+        assert [r["method"] for r in rows] == ["gd", "pls"]
+        assert json.loads(out.read_text())["fidelity"] == calls[0][2]
+        assert [1.0 - r["infidelity"] for r in rows] == [
+            f for _, _, f in calls[1:]]
+        for a, b, fid in calls:
+            a, b = (to_choi(c) if isinstance(c, KrausStack) else c
+                    for c in (a, b))
+            assert abs(process_fidelity(a, b).fidelity - fid) <= 1e-12
+
+    def test_cli_fidelity_of_kraus_files_matches_choi_forms(self, tmp_path,
+                                                            capsys):
+        data_path, est = tmp_path / "dv.json", tmp_path / "est.json"
+        cli.main(["synth", "--kind", "dv", "--qubits", "2", "--rank", "4",
+                  "--noise", "0.01", "--out", str(data_path)])
+        cli.main(["reconstruct", "--method", "gd", "--data", str(data_path),
+                  "--kraus", "4", "--iters", "50", "--out", str(est)])
+        chois = []
+        for path in (data_path, est):
+            choi = kraus_to_choi(cli._channel_from_file(path))
+            chois.append(tmp_path / f"choi-{path.name}")
+            chois[-1].write_text(json.dumps({
+                "schema_version": SCHEMA_VERSION,
+                "choi": complex_to_json(choi.mat)}))
+        capsys.readouterr()
+        infid = []
+        for files in [(data_path, est), (est, data_path), chois,
+                      (data_path, chois[1]), (chois[0], est)]:
+            assert cli.main(["fidelity", *map(str, files)]) == cli.EXIT_OK
+            infid.append(float(capsys.readouterr().out.splitlines()[1]))
+        assert 0 < infid[0] < 0.5
+        assert np.abs(np.array(infid) - infid[2]).max() <= 1e-12

@@ -200,6 +200,16 @@ class TestTomogramValidation:
             Tomogram("dv", 4, noisy_tomogram.probe_factors,
                      noisy_tomogram.meas_real, data, 0.0)
 
+    @pytest.mark.parametrize("truth", [
+        np.full((1, 4, 4), np.nan),
+        np.array([np.eye(4), np.full((4, 4), np.inf)]),
+        np.eye(2)[None]], ids=["nan", "inf", "dim-2"])
+    def test_rejects_bad_truth(self, noisy_tomogram, truth):
+        with pytest.raises(ValueError, match="truth"):
+            Tomogram("dv", 4, noisy_tomogram.probe_factors,
+                     noisy_tomogram.meas_real, noisy_tomogram.data, 0.0,
+                     truth=KrausStack(truth))
+
 
 class TestSaveLoad:
     def test_round_trip_bit_exact(self, noisy_tomogram, tmp_path):
