@@ -9,11 +9,11 @@ harness for noise, data-fraction, and timing sweeps.
 from .core import (ChoiMatrix, DensityMatrix, KrausStack, ProcessMetric,
                    apply_kraus, choi_apply, kraus_to_choi, partial_trace_out,
                    process_fidelity, tp_defect)
-from .cv import (CvGrid, annihilation, coherent_state, displaced_parity,
-                 displacement, snap, snap_displace_process)
+from .cv import (CvGrid, annihilation, displaced_parity, displacement, snap,
+                 snap_displace_process)
 from .data import (Tomogram, batches, load, save, sensing_matrix, subsample,
                    synthesize)
-from .dv import PauliEnsemble, pauli_ensemble, random_process, random_unitary
+from .dv import random_process, random_unitary
 from .gd import (FitTrace, GdConfig, cayley_step, fit, init_kraus, loss,
                  wirtinger_gradient)
 from .pls import (InformationIncompleteError, PlsConfig, fit_pls,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import os
 import sys
@@ -118,7 +117,7 @@ def _reconstruct(args, tomogram):
                           batch_size=args.batch, seed=args.seed)
         est, trace = gd.fit(tomogram, cfg)
         result = {"kraus": [data.complex_to_json(k) for k in est.blocks],
-                  "trace": dataclasses.asdict(trace)}
+                  "trace": vars(trace)}
     else:
         cfg = pls.PlsConfig(dykstra_max_iters=args.proj_iters,
                             dykstra_tol=args.proj_tol)
@@ -248,7 +247,7 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
 
 

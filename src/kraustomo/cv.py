@@ -15,7 +15,7 @@ import warnings
 
 import numpy as np
 
-from .core import DensityMatrix, KrausStack
+from .core import KrausStack
 
 DEFAULT_CUTOFF = 32
 DEFAULT_ALPHA = 1.5
@@ -110,12 +110,6 @@ def coherent_ket(alpha, dim):
     # A row product per point: a ket does not depend on the call's size.
     ket = rot * ((e * v[0].conj())[..., None, :] @ v.T)[..., 0, :]
     return ket / np.linalg.norm(ket, axis=-1, keepdims=True)
-
-
-def coherent_state(alpha, dim):
-    """The coherent state |alpha><alpha| = D(alpha)|0><0|D(alpha)^dag."""
-    ket = coherent_ket(alpha, dim)
-    return DensityMatrix(np.outer(ket, ket.conj()))
 
 
 def displaced_parity(beta, dim):

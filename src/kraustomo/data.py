@@ -14,8 +14,8 @@ import json
 
 import numpy as np
 
-from .core import (DensityMatrix, KrausStack, factor_states,
-                   factored_expectations, probe_terms, real_observables)
+from .core import (KrausStack, factor_states, factored_expectations,
+                   probe_terms, real_observables)
 from . import cv, dv
 
 SCHEMA_VERSION = 1
@@ -51,19 +51,12 @@ def complex_from_json(obj):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _stack_states(states):
-    if isinstance(states, np.ndarray):  # already a stack: no copy
-        return np.ascontiguousarray(states, dtype=complex)
-    mats = [s.mat if isinstance(s, DensityMatrix) else np.asarray(s, dtype=complex)
-            for s in states]
-    return np.ascontiguousarray(mats)
-
-
 def _forms(probes, measurements):
     """The probe factors (A, S) and the real measurement matrix T of two
-    (P, N, N) stacks, sequences of operators or (P, N) kets of pure states,
-    which are their own factors (R = 1, S = 1)."""
-    rho, meas = _stack_states(probes), _stack_states(measurements)
+    (P, N, N) stacks, sequences of N x N arrays or (P, N) kets of pure
+    states, which are their own factors (R = 1, S = 1)."""
+    rho = np.ascontiguousarray(probes, dtype=complex)
+    meas = np.ascontiguousarray(measurements, dtype=complex)
     factors = (factor_states(rho) if rho.ndim == 3
                else (rho[:, :, None], np.ones((len(rho), 1))))
     if meas.ndim == 2:
@@ -143,7 +136,7 @@ def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
 
     Noise eta ~ N(0, noise_sigma) is added to every entry; values are not
     clipped to the physical range of the observables.  Each side is a
-    (P, N, N) stack, a sequence of operators or the (P, N) kets of pure
+    (P, N, N) stack, a sequence of N x N arrays or the (P, N) kets of pure
     states, and is turned once into the forms of the returned tomogram.
     """
     factors, meas_real = _forms(probes, measurements)
@@ -220,8 +213,8 @@ def sensing_matrix(probes, measurements):
     reference: ``pls.linear_inversion`` uses its Kronecker factors
     instead, and tests check it against ``pinv(S)``.
     """
-    rho = _stack_states(probes)
-    meas = _stack_states(measurements)
+    rho = np.ascontiguousarray(probes, dtype=complex)
+    meas = np.ascontiguousarray(measurements, dtype=complex)
     p, n = rho.shape[0], rho.shape[1]
     q = meas.shape[0]
     nbytes = p * q * n ** 4 * 16

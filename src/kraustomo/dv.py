@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DensityMatrix, KrausStack
+from .core import KrausStack
 
 PAULI_LABELS = ("x+", "x-", "y+", "y-", "z+", "z-")
 
@@ -19,20 +19,6 @@ _MAX_ENSEMBLE_BYTES = 2 << 30
 # Single-qubit eigenstate kets, rows in PAULI_LABELS order (z rows exact).
 _KETS = np.array([[1, 1], [1, -1], [1, 1j], [1, -1j], [np.sqrt(2), 0],
                   [0, np.sqrt(2)]]) / np.sqrt(2)
-
-
-class PauliEnsemble:
-    """The 6^n Pauli-eigenstate probes and projective measurements."""
-
-    def __init__(self, n_qubits, probes, measurements, labels):
-        self.n_qubits = n_qubits
-        self.probes = probes                # list of DensityMatrix
-        self.measurements = measurements    # list of Hermitian projectors
-        self.labels = labels                # list of per-qubit label tuples
-
-    @property
-    def dim(self):
-        return 2 ** self.n_qubits
 
 
 def pauli_label(index, n):
@@ -77,14 +63,6 @@ def pauli_projectors(n, indices=None):
     """Stacked (P, 2^n, 2^n) projectors |k><k| of :func:`pauli_kets`."""
     kets = pauli_kets(n, indices)
     return kets[:, :, None] * kets[:, None, :].conj()
-
-
-def pauli_ensemble(n):
-    """The full 6^n probe and measurement sets for n qubits (n <= 5)."""
-    projectors = pauli_projectors(n)
-    return PauliEnsemble(n, [DensityMatrix(p) for p in projectors],
-                         list(projectors.copy()),
-                         [pauli_label(i, n) for i in range(6 ** n)])
 
 
 def random_unitary(dim, rng):

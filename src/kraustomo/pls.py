@@ -4,11 +4,12 @@ The unconstrained Choi estimate is a factored linear inversion: every
 tomogram is a probe set x measurement set, so the sensing matrix is
 S = (R (x) M) P with P a column permutation, and its pseudo-inverse
 factors as P^T (pinv R (x) pinv M) (Surawy-Stepney et al., Quantum 6,
-844 (2022)); R and M come from the tomogram's dense views of its forms.
-The dense S (``data.sensing_matrix``) is never built; it remains only as
-a reference oracle.  The estimate is then projected onto the CPTP set
-with Dykstra's alternating projections between the PSD cone (CP) and
-the TP affine subspace.
+844 (2022)); R is the flattened probe stack and M is formed straight
+from the tomogram's real measurement matrix T.  The dense S
+(``data.sensing_matrix``) is never built; it remains only as a reference
+oracle.  The estimate is then projected onto the CPTP set with Dykstra's
+alternating projections between the PSD cone (CP) and the TP affine
+subspace.
 """
 
 from __future__ import annotations
@@ -51,14 +52,18 @@ def linear_inversion(tomogram):
 
     With R holding the conjugated, flattened rho_i^T and M the
     conjugated, flattened M_j, the data are d = R X M^T for X a
-    reshuffle of the Choi matrix, so X = pinv(R) d pinv(M)^T.  Requires
+    reshuffle of the Choi matrix, so X = pinv(R) d pinv(M)^T.  Probes
+    are Hermitian, so R is the flattened rho_i; for Hermitian M_j,
+    conj(M_j) = (T + T^T)/2 - i (T - T^T)/2 from the real T.  Requires
     an informationally complete tomogram (rank R = rank M = N^2);
     raises InformationIncompleteError otherwise.
     """
     n = tomogram.dim
     n2 = n * n
-    r = tomogram.probes.transpose(0, 2, 1).reshape(-1, n2).conj()
-    m = tomogram.measurements.reshape(-1, n2).conj()
+    r = tomogram.probes.reshape(-1, n2)
+    t = tomogram.meas_real.reshape(-1, n, n)
+    m = (0.5 * (t + t.swapaxes(1, 2))
+         - 0.5j * (t - t.swapaxes(1, 2))).reshape(-1, n2)
     ranks = np.linalg.matrix_rank(r), np.linalg.matrix_rank(m)
     if min(ranks) < n2:
         raise InformationIncompleteError(
@@ -108,7 +113,7 @@ def project_cptp(choi, cfg=None):
     Only the CP step needs a correction term: the TP set is affine, and
     project_tp discards the X (x) I terms a TP correction would add.
     Stops when the Frobenius change per cycle drops below dykstra_tol;
-    past dykstra_max_iters the best iterate is returned flagged
+    past dykstra_max_iters the last iterate is returned flagged
     non-converged.
     """
     cfg = cfg or PlsConfig()

@@ -18,7 +18,7 @@ from kraustomo.bench import SweepSpec, run_sweep
 from kraustomo.core import (KrausStack, apply_kraus, choi_apply,
                             kraus_to_choi, process_fidelity, tp_defect)
 from kraustomo.data import sensing_matrix, subsample, synthesize
-from kraustomo.dv import pauli_ensemble, random_process
+from kraustomo.dv import pauli_projectors, random_process
 from kraustomo.gd import (GdConfig, cayley_step, fit, init_kraus, loss,
                           wirtinger_gradient)
 from kraustomo.pls import (InformationIncompleteError, fit_pls,
@@ -49,7 +49,8 @@ def cv_runs():
     dim = cv.DEFAULT_CUTOFF
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        probes = [cv.coherent_state(a, dim) for a in cv.probe_grid().points]
+        kets = cv.coherent_ket(cv.probe_grid().points, dim)
+        probes = kets[:, :, None] * kets[:, None, :].conj()
         meas = [cv.displaced_parity(b, dim)
                 for b in cv.measurement_grid().points]
     runs = []
@@ -162,10 +163,9 @@ def test_criterion_4_data_fraction():
     gap = abs(fid_full - fid_half)
     gap_ok = gap <= 0.05
 
-    ens = pauli_ensemble(2)
+    ens = pauli_projectors(2)
     process = random_process(4, 16, np.random.default_rng(0))
-    tomogram = synthesize(process, ens.probes, ens.measurements, NOISE,
-                          np.random.default_rng(1))
+    tomogram = synthesize(process, ens, ens, NOISE, np.random.default_rng(1))
     small = subsample(tomogram, 0.1, np.random.default_rng(2))
     try:
         fit_pls(small)
@@ -220,9 +220,9 @@ def _suite_a_cayley(rng):
 
 
 def _suite_b_gradient(rng):
-    ens = pauli_ensemble(1)
+    ens = pauli_projectors(1)
     process = random_process(2, 2, rng)
-    tomogram = synthesize(process, ens.probes, ens.measurements, NOISE, rng)
+    tomogram = synthesize(process, ens, ens, NOISE, rng)
     est = init_kraus(2, 2, rng)
     grad = wirtinger_gradient(est, tomogram, None, lam=0.0)
     h = 1e-6
@@ -271,8 +271,10 @@ def _suite_e_coherent_amplitudes():
     log_fact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, 25))]))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        for alpha in cv.probe_grid().points:
-            rho = cv.coherent_state(alpha, dim).mat
+        points = cv.probe_grid().points
+        kets = cv.coherent_ket(points, dim)
+        for alpha, ket in zip(points, kets):
+            rho = np.outer(ket, ket.conj())
             a2 = abs(alpha) ** 2
             for n in range(25):
                 expected = (np.exp(-a2 + n * np.log(a2) - log_fact[n])
@@ -283,10 +285,10 @@ def _suite_e_coherent_amplitudes():
 
 
 def _suite_f_linear_inversion(rng):
-    ens = pauli_ensemble(2)
+    ens = pauli_projectors(2)
     for _ in range(5):
         process = random_process(4, rng.integers(1, 17), rng)
-        tomogram = synthesize(process, ens.probes, ens.measurements, 0.0)
+        tomogram = synthesize(process, ens, ens, 0.0)
         est = linear_inversion(tomogram)
         truth = kraus_to_choi(process)
         rel = np.linalg.norm(est.mat - truth.mat) / np.linalg.norm(truth.mat)

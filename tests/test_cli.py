@@ -125,6 +125,16 @@ class TestSynth:
             assert code == EXIT_USAGE
             assert "nowhere" in capsys.readouterr().err
 
+    def test_bare_memory_error_names_its_type(self, tmp_path, capsys,
+                                              monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError()
+        monkeypatch.setattr(data_module, "synthesize", out_of_memory)
+        code = main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "2",
+                     "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == ["error: MemoryError"]
+
     def test_huge_cv_cutoff_exits_2(self, tmp_path, capsys):
         t0 = time.perf_counter()
         code = main(["synth", "--kind", "cv", "--dim", "20000",
@@ -336,13 +346,22 @@ class TestReconstruct:
         for phase in ("pass_time_s", "cayley_time_s", "tp_check_time_s"):
             assert len(trace[phase]) == len(trace["iter_time_s"]) == 20
 
-    def test_gd_trace_has_every_fit_trace_field(self, dv_dataset, tmp_path):
+    def test_gd_trace_has_every_fit_trace_field(self, dv_dataset, tmp_path,
+                                                monkeypatch):
+        fit, fits = gd.fit, []
+
+        def recording_fit(*args):
+            fits.append(fit(*args))
+            return fits[-1]
+        monkeypatch.setattr(gd, "fit", recording_fit)
         out = tmp_path / "est.json"
         assert main(["reconstruct", "--method", "gd", "--data",
                      str(dv_dataset), "--kraus", "2", "--iters", "20",
                      "--out", str(out)]) == EXIT_OK
         trace = json.loads(out.read_text())["trace"]
         assert set(trace) == {f.name for f in dataclasses.fields(gd.FitTrace)}
+        # Written as the dataclass's own fields, equal to its deep copy.
+        assert trace == json.loads(json.dumps(dataclasses.asdict(fits[0][1])))
         # One full-batch plateau check, every plateau_window = 20 steps.
         assert trace["full_loss"] == [[20, trace["loss"][19]]]
 

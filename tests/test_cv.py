@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
+from kraustomo.core import DensityMatrix
 from kraustomo.cv import (DEFAULT_ALPHA, DEFAULT_PHASES, CvGrid, annihilation,
-                          coherent_ket, coherent_state, displaced_parity,
-                          displacement, measurement_grid, probe_grid, snap,
+                          coherent_ket, displaced_parity, displacement,
+                          measurement_grid, probe_grid, snap,
                           snap_displace_process)
 from dense_oracle import (coherent_kets_per_point, displaced_parities_per_point,
                           displacement_per_point, snap_displace_per_point)
@@ -91,13 +92,15 @@ class TestDisplacement:
 
 class TestCoherentState:
     def test_vacuum(self):
-        rho = coherent_state(0.0, 8).mat
+        ket = coherent_ket(0.0, 8)
+        rho = np.outer(ket, ket.conj())
         assert np.allclose(rho, np.diag([1.0] + [0.0] * 7))
 
     def test_fock_amplitudes(self):
         # |<n|alpha>|^2 = e^{-|alpha|^2} |alpha|^{2n} / n!
         alpha = 0.8 + 0.3j
-        rho = coherent_state(alpha, 48).mat
+        ket = coherent_ket(alpha, 48)
+        rho = np.outer(ket, ket.conj())
         from math import factorial
         for n in range(6):
             expected = (np.exp(-abs(alpha) ** 2) * abs(alpha) ** (2 * n)
@@ -105,12 +108,15 @@ class TestCoherentState:
             assert abs(rho[n, n].real - expected) <= 1e-6
 
     def test_unit_trace_even_near_cutoff(self):
-        rho = coherent_state(2.5 + 2.5j, 32).mat
+        ket = coherent_ket(2.5 + 2.5j, 32)
+        rho = np.outer(ket, ket.conj())
         assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        DensityMatrix(rho)      # Hermitian, trace 1, PSD
 
     def test_mean_photon_number(self):
         alpha = 1.1 - 0.6j
-        rho = coherent_state(alpha, 64).mat
+        ket = coherent_ket(alpha, 64)
+        rho = np.outer(ket, ket.conj())
         nbar = np.real(np.trace(np.diag(np.arange(64)) @ rho))
         assert nbar == pytest.approx(abs(alpha) ** 2, abs=1e-8)
 
@@ -128,7 +134,8 @@ class TestDisplacedParity:
     def test_coherent_state_expectation(self):
         # <alpha|Pi(beta)|alpha> = exp(-2|alpha - beta|^2).
         alpha, beta = 0.5 - 0.4j, -0.3 + 0.6j
-        rho = coherent_state(alpha, 48).mat
+        ket = coherent_ket(alpha, 48)
+        rho = np.outer(ket, ket.conj())
         val = np.real(np.trace(displaced_parity(beta, 48) @ rho))
         assert val == pytest.approx(np.exp(-2 * abs(alpha - beta) ** 2),
                                     abs=1e-8)

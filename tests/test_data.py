@@ -15,12 +15,12 @@ from kraustomo import cv
 from kraustomo import data as data_module
 from kraustomo.cli import main
 from kraustomo.core import KrausStack, kraus_to_choi
-from kraustomo.cv import CvGrid, coherent_state, displaced_parity
+from kraustomo.cv import CvGrid, coherent_ket, displaced_parity
 from kraustomo.data import (SchemaError, Tomogram, batches, complex_from_json,
                             complex_to_json, export_csv, load,
                             materialize_probes, save, sensing_matrix,
                             subsample, synthesize)
-from kraustomo.dv import pauli_ensemble, pauli_projector, random_process
+from kraustomo.dv import pauli_projector, pauli_projectors, random_process
 from dense_oracle import (coherent_kets_per_point, dense_expectations,
                           displaced_parities_per_point,
                           snap_displace_per_point)
@@ -28,13 +28,13 @@ from dense_oracle import (coherent_kets_per_point, dense_expectations,
 
 @pytest.fixture(scope="module")
 def ensemble():
-    return pauli_ensemble(2)
+    return pauli_projectors(2)
 
 
 @pytest.fixture()
 def noisy_tomogram(ensemble, rng):
     process = random_process(4, 3, rng)
-    return synthesize(process, ensemble.probes, ensemble.measurements,
+    return synthesize(process, ensemble, ensemble,
                       1e-2, rng, kind="dv", seed=42,
                       probe_spec={"type": "pauli", "n_qubits": 2},
                       meas_spec={"type": "pauli", "n_qubits": 2})
@@ -53,9 +53,9 @@ class TestComplexJson:
 
 class TestSynthesize:
     def test_noiseless_identity_channel(self):
-        ens = pauli_ensemble(1)
+        ens = pauli_projectors(1)
         ident = KrausStack(np.eye(2)[None])
-        tomogram = synthesize(ident, ens.probes, ens.measurements, 0.0)
+        tomogram = synthesize(ident, ens, ens, 0.0)
         # z+ probe, z+ measurement -> 1; z+ probe, x+ measurement -> 1/2.
         assert tomogram.data[4, 4] == pytest.approx(1.0, abs=1e-12)
         assert tomogram.data[4, 0] == pytest.approx(0.5, abs=1e-12)
@@ -64,29 +64,25 @@ class TestSynthesize:
     def test_requires_rng_for_noise(self, ensemble, rng):
         process = random_process(4, 2, rng)
         with pytest.raises(ValueError, match="rng"):
-            synthesize(process, ensemble.probes, ensemble.measurements, 1e-2)
+            synthesize(process, ensemble, ensemble, 1e-2)
 
     def test_rejects_negative_noise(self, ensemble, rng):
         process = random_process(4, 2, rng)
         with pytest.raises(ValueError, match="noise_sigma"):
-            synthesize(process, ensemble.probes, ensemble.measurements,
-                       -1e-3, rng)
+            synthesize(process, ensemble, ensemble, -1e-3, rng)
 
     def test_noise_statistics(self, ensemble, rng):
         process = random_process(4, 16, rng)
-        clean = synthesize(process, ensemble.probes, ensemble.measurements,
-                           0.0).data
-        noisy = synthesize(process, ensemble.probes, ensemble.measurements,
-                           1e-2, rng)
+        clean = synthesize(process, ensemble, ensemble, 0.0).data
+        noisy = synthesize(process, ensemble, ensemble, 1e-2, rng)
         delta = noisy.data - clean
         assert abs(delta.mean()) < 5e-4                 # ~3 sigma of the mean
         assert delta.std() == pytest.approx(1e-2, rel=0.1)
 
     def test_truth_embedding_optional(self, ensemble, rng):
         process = random_process(4, 2, rng)
-        with_truth = synthesize(process, ensemble.probes, ensemble.measurements,
-                                0.0)
-        without = synthesize(process, ensemble.probes, ensemble.measurements,
+        with_truth = synthesize(process, ensemble, ensemble, 0.0)
+        without = synthesize(process, ensemble, ensemble,
                              0.0, keep_truth=False)
         assert with_truth.truth is process
         assert without.truth is None
@@ -149,20 +145,19 @@ class TestBatches:
 
 class TestSensingMatrix:
     def test_shape_two_qubits(self, ensemble):
-        s = sensing_matrix(ensemble.probes, ensemble.measurements)
+        s = sensing_matrix(ensemble, ensemble)
         assert s.shape == (1296, 256)
 
     def test_reproduces_channel_action(self, ensemble, rng):
         process = random_process(4, 5, rng)
-        s = sensing_matrix(ensemble.probes, ensemble.measurements)
+        s = sensing_matrix(ensemble, ensemble)
         via_choi = np.real(s @ kraus_to_choi(process).mat.ravel())
-        direct = synthesize(process, ensemble.probes, ensemble.measurements,
-                            0.0).data.ravel()
+        direct = synthesize(process, ensemble, ensemble, 0.0).data.ravel()
         assert np.abs(via_choi - direct).max() <= 1e-10
 
     def test_predictions_are_real(self, ensemble, rng):
         process = random_process(4, 2, rng)
-        s = sensing_matrix(ensemble.probes, ensemble.measurements)
+        s = sensing_matrix(ensemble, ensemble)
         raw = s @ kraus_to_choi(process).mat.ravel()
         assert np.abs(raw.imag).max() <= 1e-10
 
@@ -265,7 +260,7 @@ class TestMaterializeProbes:
         kets = materialize_probes({"type": "pauli", "n_qubits": 2}, 4)
         assert kets.shape == (36, 4)
         assert np.array_equal(kets[:, :, None] * kets[:, None, :].conj(),
-                              np.array(ensemble.measurements))
+                              ensemble)
 
     def test_pauli_indices_decode_labels(self):
         kets = materialize_probes({"type": "pauli", "n_qubits": 3,
@@ -283,9 +278,7 @@ class TestMaterializeProbes:
                                    "indices": [4, 1]}, 6)
         par = materialize_probes({"type": "displaced_parity_grid",
                                   "grid": grid.to_dict()}, 6)
-        assert np.array_equal([np.outer(k, k.conj()) for k in kets],
-                              [coherent_state(pts[4], 6).mat,
-                               coherent_state(pts[1], 6).mat])
+        assert np.array_equal(kets, coherent_ket(pts[[4, 1]], 6))
         assert np.array_equal(par, [displaced_parity(b, 6) for b in pts])
 
     def test_explicit_shape_checked(self):

@@ -3,10 +3,10 @@ import itertools
 import numpy as np
 import pytest
 
-from kraustomo.core import apply_kraus, tp_defect
-from kraustomo.dv import (PAULI_LABELS, pauli_ensemble, pauli_kets,
-                          pauli_label, pauli_projector, pauli_projectors,
-                          random_process, random_unitary)
+from kraustomo.core import DensityMatrix, apply_kraus, tp_defect
+from kraustomo.dv import (PAULI_LABELS, pauli_kets, pauli_label,
+                          pauli_projector, pauli_projectors, random_process,
+                          random_unitary)
 
 
 class TestPauliProjector:
@@ -42,36 +42,35 @@ class TestPauliProjector:
 
 class TestPauliEnsemble:
     def test_counts_and_dim(self):
-        ens = pauli_ensemble(2)
-        assert len(ens.probes) == 36
-        assert len(ens.measurements) == 36
-        assert ens.dim == 4
+        ops = pauli_projectors(2)
+        assert ops.shape == (36, 4, 4)
+        assert pauli_kets(2).shape == (36, 4)
 
     def test_lexicographic_label_order(self):
-        ens = pauli_ensemble(2)
-        assert ens.labels[0] == ("x+", "x+")
-        assert ens.labels[1] == ("x+", "x-")
-        assert ens.labels[6] == ("x-", "x+")
-        assert ens.labels[-1] == ("z-", "z-")
+        assert pauli_label(0, 2) == ("x+", "x+")
+        assert pauli_label(1, 2) == ("x+", "x-")
+        assert pauli_label(6, 2) == ("x-", "x+")
+        assert pauli_label(35, 2) == ("z-", "z-")
 
     def test_probes_match_labels(self):
-        ens = pauli_ensemble(2)
+        ops = pauli_projectors(2)
         for idx in (0, 7, 35):
-            assert np.allclose(ens.probes[idx].mat,
-                               pauli_projector(ens.labels[idx]))
+            assert np.allclose(ops[idx], pauli_projector(pauli_label(idx, 2)))
 
     def test_single_qubit(self):
-        ens = pauli_ensemble(1)
-        assert len(ens.probes) == 6
-        assert np.allclose(ens.probes[4].mat, np.diag([1.0, 0.0]))
+        ops = pauli_projectors(1)
+        assert len(ops) == 6
+        assert np.allclose(ops[4], np.diag([1.0, 0.0]))
 
     def test_rejects_zero_qubits(self):
-        with pytest.raises(ValueError, match="at least one"):
-            pauli_ensemble(0)
+        for build in (pauli_kets, pauli_projectors):
+            with pytest.raises(ValueError, match="at least one"):
+                build(0)
 
     def test_memory_guard(self):
-        with pytest.raises(MemoryError, match="GiB"):
-            pauli_ensemble(12)
+        for build in (pauli_kets, pauli_projectors):
+            with pytest.raises(MemoryError, match="GiB"):
+                build(12)
 
 
 class TestPauliProjectors:
@@ -81,10 +80,11 @@ class TestPauliProjectors:
             assert [pauli_label(i, n) for i in range(6 ** n)] == expected
 
     def test_full_stack_matches_ensemble(self):
-        ens = pauli_ensemble(2)
         ops = pauli_projectors(2)
-        assert ops.shape == (36, 4, 4)
-        assert np.array_equal(ops, [p.mat for p in ens.probes])
+        labels = itertools.product(PAULI_LABELS, repeat=2)
+        assert np.array_equal(ops, [pauli_projector(lab) for lab in labels])
+        for op in ops:      # a valid state: Hermitian, trace 1, PSD
+            DensityMatrix(op)
 
     def test_indices_select_in_given_order(self):
         ops = pauli_projectors(2, [35, 0, 7])
@@ -166,8 +166,7 @@ class TestRandomProcess:
 
     def test_outputs_are_states(self, rng):
         proc = random_process(4, 6, rng)
-        ens = pauli_ensemble(2)
-        for probe in ens.probes[:5]:
+        for probe in pauli_projectors(2)[:5]:
             out = apply_kraus(proc, probe)
             assert abs(np.trace(out) - 1.0) <= 1e-10
             assert np.linalg.eigvalsh(out)[0] >= -1e-10

@@ -154,8 +154,8 @@ class TestFactorStates:
                          5, 4).to_dict()
         kets = materialize_probes({"type": "coherent_grid", "grid": grid},
                                   dim)
-        probes = np.array([cv.coherent_state(alpha, dim).mat
-                           for alpha in cv.CvGrid.from_dict(grid).points])
+        k = cv.coherent_ket(cv.CvGrid.from_dict(grid).points, dim)
+        probes = k[:, :, None] * k[:, None, :].conj()
         assert len(probes) == 20
         self._kets_match_the_eigh_factors(probes, kets)
 

@@ -4,20 +4,20 @@ import pytest
 from kraustomo import gd as gd_module
 from kraustomo.core import KrausStack, tp_defect
 from kraustomo.data import synthesize
-from kraustomo.dv import pauli_ensemble, random_process
+from kraustomo.dv import pauli_projectors, random_process
 from kraustomo.gd import (FitTrace, GdConfig, cayley_step, fit, init_kraus,
                           loss, value_and_grad, wirtinger_gradient)
 
 
 @pytest.fixture(scope="module")
 def ensemble():
-    return pauli_ensemble(1)
+    return pauli_projectors(1)
 
 
 @pytest.fixture()
 def clean_tomogram(ensemble, rng):
     process = random_process(2, 2, rng)
-    return synthesize(process, ensemble.probes, ensemble.measurements, 0.0)
+    return synthesize(process, ensemble, ensemble, 0.0)
 
 
 def fd_directional(kraus, tomogram, direction, lam, h=1e-6):
@@ -51,7 +51,7 @@ class TestGdConfig:
 class TestLoss:
     def test_l1_only_for_perfect_fit(self, ensemble):
         ident = KrausStack(np.eye(2)[None])
-        tomogram = synthesize(ident, ensemble.probes, ensemble.measurements, 0.0)
+        tomogram = synthesize(ident, ensemble, ensemble, 0.0)
         # Residuals vanish at the truth; only the L1 term remains:
         # 1e-3 * (|1| + |1|) = 2e-3.
         assert loss(ident, tomogram) == pytest.approx(2e-3, abs=1e-15)
@@ -92,18 +92,17 @@ class TestWirtingerGradient:
 
     def test_residual_gradient_vanishes_at_truth(self, ensemble, rng):
         process = random_process(2, 2, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              0.0)
+        tomogram = synthesize(process, ensemble, ensemble, 0.0)
         grad = wirtinger_gradient(process, tomogram, None, lam=0.0)
         assert np.abs(grad).max() <= 1e-10
 
     @pytest.mark.parametrize("n_qubits,k", [(1, 1), (1, 3), (2, 2)])
     def test_finite_difference_contract(self, n_qubits, k, rng):
         # [L(K + h D) - L(K - h D)] / 2h must equal 2 Re<G, D>.
-        ens = pauli_ensemble(n_qubits)
+        ens = pauli_projectors(n_qubits)
         dim = 2 ** n_qubits
         process = random_process(dim, 2, rng)
-        tomogram = synthesize(process, ens.probes, ens.measurements, 1e-2, rng)
+        tomogram = synthesize(process, ens, ens, 1e-2, rng)
         est = init_kraus(k, dim, rng)
         grad = wirtinger_gradient(est, tomogram, None, lam=0.0)
         for _ in range(5):
@@ -120,7 +119,8 @@ class TestWirtingerGradient:
         from kraustomo.data import synthesize as synth
         dim = 8
         proc = cv.snap_displace_process(alpha=0.5, phases=[0.3, -0.2], dim=dim)
-        probes = [cv.coherent_state(a, dim) for a in (0.2, -0.5 + 0.3j, 0.8j)]
+        kets = cv.coherent_ket(np.array([0.2, -0.5 + 0.3j, 0.8j]), dim)
+        probes = kets[:, :, None] * kets[:, None, :].conj()
         meas = [cv.displaced_parity(b, dim) for b in (0.0, 0.4 - 0.2j)]
         tomogram = synth(proc, probes, meas, 0.0)
         est = init_kraus(2, dim, rng)
@@ -143,8 +143,7 @@ class TestWirtingerGradient:
 
     def test_batch_gradient_matches_restricted_full(self, ensemble, rng):
         process = random_process(2, 2, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              1e-2, rng)
+        tomogram = synthesize(process, ensemble, ensemble, 1e-2, rng)
         est = init_kraus(2, 2, rng)
         full_batch = [(i, j) for i in range(6) for j in range(6)]
         a = wirtinger_gradient(est, tomogram, None)
@@ -157,8 +156,7 @@ class TestValueAndGrad:
                                        []])
     def test_matches_loss_and_gradient(self, ensemble, rng, batch):
         process = random_process(2, 2, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              1e-2, rng)
+        tomogram = synthesize(process, ensemble, ensemble, 1e-2, rng)
         est = init_kraus(3, 2, rng)
         value, grad = value_and_grad(est, tomogram, batch, 1e-3)
         assert value == pytest.approx(loss(est, tomogram, batch, 1e-3),
@@ -240,8 +238,7 @@ class TestInitKraus:
 class TestFit:
     def test_loss_decreases_and_stays_tp(self, ensemble, rng):
         process = random_process(2, 2, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              1e-2, rng)
+        tomogram = synthesize(process, ensemble, ensemble, 1e-2, rng)
         cfg = GdConfig(k=2, max_iters=100, seed=1)
         est, trace = fit(tomogram, cfg)
         assert isinstance(trace, FitTrace)
@@ -254,8 +251,7 @@ class TestFit:
         # From the exact solution with no noise and no L1 penalty, the
         # loss can never rise above its starting value.
         process = random_process(2, 2, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              0.0)
+        tomogram = synthesize(process, ensemble, ensemble, 0.0)
         cfg = GdConfig(k=2, max_iters=50, lam=0.0, seed=0)
         initial = loss(process, tomogram, None, 0.0)
         est, trace = fit(tomogram, cfg, init=process)
@@ -283,8 +279,7 @@ class TestFit:
 
     def test_minibatch_mode(self, ensemble, rng):
         process = random_process(2, 2, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              1e-2, rng)
+        tomogram = synthesize(process, ensemble, ensemble, 1e-2, rng)
         cfg = GdConfig(k=2, max_iters=60, batch_size=8, seed=3)
         est, trace = fit(tomogram, cfg)
         assert trace.n_iters == 60
@@ -295,8 +290,7 @@ class TestFit:
 
     def test_deterministic_given_config(self, ensemble, rng):
         process = random_process(2, 2, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              1e-2, rng)
+        tomogram = synthesize(process, ensemble, ensemble, 1e-2, rng)
         cfg = GdConfig(k=2, max_iters=30, seed=11)
         a, _ = fit(tomogram, cfg)
         b, _ = fit(tomogram, cfg)
@@ -305,8 +299,7 @@ class TestFit:
     def test_recovers_unitary_channel(self, ensemble, rng):
         from kraustomo.core import kraus_to_choi, process_fidelity
         process = random_process(2, 1, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              0.0)
+        tomogram = synthesize(process, ensemble, ensemble, 0.0)
         cfg = GdConfig(k=1, max_iters=200, seed=2)
         est, _ = fit(tomogram, cfg)
         fid = process_fidelity(kraus_to_choi(process), kraus_to_choi(est))
@@ -316,8 +309,8 @@ class TestFit:
 def _golden_tomogram():
     rng = np.random.default_rng(12345)
     process = random_process(2, 2, rng)
-    ens = pauli_ensemble(1)
-    return synthesize(process, ens.probes, ens.measurements, 1e-2, rng)
+    ens = pauli_projectors(1)
+    return synthesize(process, ens, ens, 1e-2, rng)
 
 
 class TestFitStops:

@@ -3,7 +3,7 @@ import pytest
 
 from kraustomo.core import ChoiMatrix, kraus_to_choi, process_fidelity
 from kraustomo.data import sensing_matrix, subsample, synthesize
-from kraustomo.dv import pauli_ensemble, random_process
+from kraustomo.dv import pauli_projectors, random_process
 from kraustomo.pls import (InformationIncompleteError, PlsConfig,
                            cp_violation, fit_pls, linear_inversion,
                            project_cp, project_cptp, project_tp,
@@ -12,7 +12,7 @@ from kraustomo.pls import (InformationIncompleteError, PlsConfig,
 
 @pytest.fixture(scope="module")
 def ensemble():
-    return pauli_ensemble(2)
+    return pauli_projectors(2)
 
 
 class TestPlsConfig:
@@ -29,8 +29,7 @@ class TestPlsConfig:
 class TestLinearInversion:
     def test_exact_recovery_noiseless(self, ensemble, rng):
         process = random_process(4, 4, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              0.0)
+        tomogram = synthesize(process, ensemble, ensemble, 0.0)
         est = linear_inversion(tomogram)
         truth = kraus_to_choi(process)
         rel = (np.linalg.norm(est.mat - truth.mat)
@@ -39,15 +38,13 @@ class TestLinearInversion:
 
     def test_hermitian_output(self, ensemble, rng):
         process = random_process(4, 2, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              1e-2, rng)
+        tomogram = synthesize(process, ensemble, ensemble, 1e-2, rng)
         est = linear_inversion(tomogram)
         assert np.abs(est.mat - est.mat.conj().T).max() <= 1e-12
 
     def test_incomplete_data_raises(self, ensemble, rng):
         process = random_process(4, 2, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              1e-2, rng)
+        tomogram = synthesize(process, ensemble, ensemble, 1e-2, rng)
         small = subsample(tomogram, 0.1, rng)
         with pytest.raises(InformationIncompleteError, match="complete"):
             linear_inversion(small)
@@ -68,10 +65,9 @@ class TestFactoredInversionMatchesDense:
     @pytest.mark.parametrize("n_qubits", [1, 2])
     @pytest.mark.parametrize("gamma", [1.0, 0.7, 0.5, 0.3, 0.1])
     def test_matches_oracle(self, n_qubits, gamma, rng):
-        ens = pauli_ensemble(n_qubits)
+        ens = pauli_projectors(n_qubits)
         process = random_process(2 ** n_qubits, 3, rng)
-        tomogram = synthesize(process, ens.probes, ens.measurements, 1e-2,
-                              rng)
+        tomogram = synthesize(process, ens, ens, 1e-2, rng)
         if gamma < 1:
             tomogram = subsample(tomogram, gamma, rng)
         oracle = _dense_oracle(tomogram)
@@ -202,23 +198,20 @@ class TestTpCorrectionIsDead:
 class TestFitPls:
     def test_noiseless_high_fidelity(self, ensemble, rng):
         process = random_process(4, 3, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              0.0)
+        tomogram = synthesize(process, ensemble, ensemble, 0.0)
         result = fit_pls(tomogram)
         fid = process_fidelity(kraus_to_choi(process), result.choi)
         assert fid.fidelity >= 0.999
 
     def test_noisy_output_is_cptp(self, ensemble, rng):
         process = random_process(4, 16, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              1e-2, rng)
+        tomogram = synthesize(process, ensemble, ensemble, 1e-2, rng)
         result = fit_pls(tomogram)
         assert tp_violation(result.choi) <= 1e-6
         assert cp_violation(result.choi) <= 1e-6
 
     def test_subsampled_raises(self, ensemble, rng):
         process = random_process(4, 2, rng)
-        tomogram = synthesize(process, ensemble.probes, ensemble.measurements,
-                              1e-2, rng)
+        tomogram = synthesize(process, ensemble, ensemble, 1e-2, rng)
         with pytest.raises(InformationIncompleteError):
             fit_pls(subsample(tomogram, 0.1, rng))
