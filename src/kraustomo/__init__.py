@@ -11,8 +11,7 @@ from .core import (ChoiMatrix, DensityMatrix, KrausStack, ProcessMetric,
                    process_fidelity, tp_defect)
 from .cv import (CvGrid, annihilation, displaced_parity, displacement, snap,
                  snap_displace_process)
-from .data import (Tomogram, batches, load, save, sensing_matrix, subsample,
-                   synthesize)
+from .data import Tomogram, load, save, sensing_matrix, subsample, synthesize
 from .dv import random_process, random_unitary
 from .gd import (FitTrace, GdConfig, cayley_step, fit, init_kraus, loss,
                  wirtinger_gradient)

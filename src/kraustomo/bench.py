@@ -52,6 +52,12 @@ class SweepSpec:
         if owned & set(self.gd):
             raise ValueError(f"gd may not set {sorted(owned & set(self.gd))}: "
                              f"the {self.sweep} sweep sets them per cell")
+        if set(self.methods) - {"gd", "pls"}:
+            raise ValueError(f"unknown methods in {self.methods}: gd or pls")
+        if "gd" in self.methods and not self.kraus and self.sweep != "timing":
+            raise ValueError("a gd sweep needs a non-empty kraus list")
+        if min(self.seeds) < 0:
+            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
 
     @classmethod
     def from_json(cls, path):
@@ -61,10 +67,6 @@ class SweepSpec:
             return cls(**doc)
         except TypeError as exc:  # unknown or missing keys
             raise SchemaError(f"bad sweep spec in {path}: {exc}") from exc
-
-
-def _gd_config(spec, k, seed, **extra):
-    return GdConfig(k=k, seed=seed, **spec.gd, **extra)
 
 
 def _row(value, seed, method, k, infid, iters, wall, error=""):
@@ -79,12 +81,13 @@ def _reconstruct_rows(spec, value, seed, tomogram, truth):
         if method == "gd":
             for k in spec.kraus:
                 t0 = time.perf_counter()
-                est, trace = fit(tomogram, _gd_config(spec, k, seed))
+                est, trace = fit(tomogram,
+                                 GdConfig(k=k, seed=seed, **spec.gd))
                 wall = time.perf_counter() - t0
                 infid = process_fidelity(truth, est).infidelity
                 rows.append(_row(value, seed, "gd", k, infid,
                                  trace.n_iters, wall))
-        elif method == "pls":
+        else:
             t0 = time.perf_counter()
             try:
                 res = fit_pls(tomogram, PlsConfig())
@@ -95,8 +98,6 @@ def _reconstruct_rows(spec, value, seed, tomogram, truth):
             wall = time.perf_counter() - t0
             infid = process_fidelity(truth, res.choi).infidelity
             rows.append(_row(value, seed, "pls", "", infid, res.cycles, wall))
-        else:
-            raise ValueError(f"unknown method {method!r}")
     return rows
 
 
@@ -131,8 +132,8 @@ def _timing_cell(spec, idx, n, seed):
     tomogram = synthesize(process, ops, ops, spec.noise, rng, kind="dv",
                           seed=seed)
     k = spec.kraus[0] if spec.kraus else 3
-    cfg = _gd_config(spec, k, seed, batch_size=256, max_iters=6)
-    _, trace = fit(tomogram, cfg)
+    _, trace = fit(tomogram, GdConfig(k=k, seed=seed, **spec.gd,
+                                      batch_size=256, max_iters=6))
     # The first iteration runs cold (first allocations, cold caches); time
     # the rest.
     gd_time = float(np.mean(trace.iter_time_s[1:]))

@@ -38,6 +38,13 @@ def _parse_phases(text):
     return [float(p) for p in text.split(",")]
 
 
+def _parse_seed(text):
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 @contextlib.contextmanager
 def _claimed(*paths):
     """Check that each given path is writable before any work is done.
@@ -73,6 +80,9 @@ def _synth(args):
             and np.isfinite([args.alpha, *args.theta]).all()):
         raise ValueError("--noise must be finite and >= 0, and --alpha and "
                          "--theta finite")
+    if args.kind == "cv" and len(args.theta) > args.dim:
+        raise ValueError(f"{len(args.theta)} --theta phases exceed the "
+                         f"cutoff --dim {args.dim}")
     rng = np.random.default_rng(args.seed)
     if args.kind == "dv":
         dim = 2 ** args.qubits
@@ -201,7 +211,7 @@ def build_parser():
     p.add_argument("--meas-grid", type=_parse_grid)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--gamma", type=float, help="keep a fraction of the data")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--csv", help="also export the data matrix as CSV")
     p.set_defaults(func=cmd_synth)
@@ -216,7 +226,7 @@ def build_parser():
     p.add_argument("--l1", type=float, default=1e-3)
     p.add_argument("--iters", type=int, default=200)
     p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--proj-iters", type=int, default=1000)
     p.add_argument("--proj-tol", type=float, default=1e-7)
     p.set_defaults(func=cmd_reconstruct)

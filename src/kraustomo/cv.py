@@ -78,14 +78,15 @@ def annihilation(dim):
 
 def _polar_parts(alpha, dim):
     """(e, rot, V) with D(alpha) = diag(rot) V diag(e) V^dag diag(rot)^*;
-    e and rot have shape alpha.shape + (N,)."""
+    e and rot have shape alpha.shape + (N,).  The cutoff is checked
+    before the truncation warning."""
+    a = annihilation(dim)
     alpha = np.asarray(alpha, dtype=complex)
     big = np.max(np.abs(alpha), initial=0.0)
     if big ** 2 > dim / 4:
         warnings.warn(
             f"|alpha|^2 = {big**2:.2f} is large for cutoff {dim}; "
             f"truncation errors may be significant", stacklevel=3)
-    a = annihilation(dim)
     w, v = np.linalg.eigh(1j * (a.conj().T - a))
     e = np.exp(-1j * np.abs(alpha)[..., None] * w)
     rot = np.exp(1j * np.angle(alpha)[..., None] * np.arange(dim))

@@ -1,4 +1,4 @@
-"""Tomogram synthesis, subsampling, batching, sensing matrices, and file I/O.
+"""Tomogram synthesis, subsampling, sensing matrices, and file I/O.
 
 A tomogram bundles probes and measurements in the forward model's forms,
 the (noisy) expectation data d[i, j], and provenance metadata.  Files are
@@ -9,7 +9,6 @@ are stored as nested arrays of [re, im] pairs.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 
 import numpy as np
@@ -130,14 +129,14 @@ class Tomogram:
 
 
 def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
-               kind="dv", seed=None, probe_spec=None, meas_spec=None,
-               keep_truth=True):
+               kind="dv", seed=None, probe_spec=None, meas_spec=None):
     """Simulate a tomography experiment with i.i.d. Gaussian noise.
 
     Noise eta ~ N(0, noise_sigma) is added to every entry; values are not
     clipped to the physical range of the observables.  Each side is a
     (P, N, N) stack, a sequence of N x N arrays or the (P, N) kets of pure
-    states, and is turned once into the forms of the returned tomogram.
+    states, and is turned once into the forms of the returned tomogram,
+    which keeps the process as its truth.
     """
     factors, meas_real = _forms(probes, measurements)
     data = factored_expectations(process.blocks, probe_terms(factors),
@@ -148,7 +147,7 @@ def synthesize(process, probes, measurements, noise_sigma, rng=None, *,
         data = data + rng.normal(0.0, noise_sigma, data.shape)
     return Tomogram(kind, process.dim, factors, meas_real, data,
                     noise_sigma, seed=seed, probe_spec=probe_spec,
-                    meas_spec=meas_spec, truth=process if keep_truth else None)
+                    meas_spec=meas_spec, truth=process)
 
 
 def _subsample_spec(spec, indices):
@@ -182,26 +181,6 @@ def subsample(tomogram, gamma, rng):
                     probe_spec=_subsample_spec(tomogram.probe_spec, pi),
                     meas_spec=_subsample_spec(tomogram.meas_spec, mi),
                     truth=tomogram.truth)
-
-
-def batches(tomogram, batch_size, rng):
-    """Infinite stream of (i, j) index batches, uniform without replacement.
-
-    If batch_size covers the whole dataset, every batch is the full index
-    set in row-major order (full-batch mode).
-    """
-    total = tomogram.num_entries
-    n_m = tomogram.num_measurements
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    if batch_size >= total:
-        full = np.array(list(itertools.product(range(tomogram.num_probes),
-                                               range(n_m))))
-        while True:
-            yield full
-    while True:
-        flat = rng.choice(total, batch_size, replace=False)
-        yield np.column_stack([flat // n_m, flat % n_m])
 
 
 def sensing_matrix(probes, measurements):

@@ -12,8 +12,9 @@ T_j = Re M_j + Im M_j the tomogram holds; its products phi_li = K_l A_i
 serve the residuals (hence the loss) and the gradient
 (:func:`core.factored_pullback`).  :func:`loss` and
 :func:`wirtinger_gradient` are its two halves.  :func:`fit` runs it on
-the raw kN x N stack with :func:`core.probe_terms` built once per fit
-(per step for minibatches), so a full-batch iteration builds none.
+the raw kN x N stack with :func:`core.probe_terms` built once per fit, so
+a full-batch iteration builds none; a minibatch fit draws its (i, j)
+pairs without replacement and builds their terms once per step.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import numpy as np
 
 from .core import (VALID_TOL, KrausStack, factored_expectations,
                    factored_pullback, probe_terms, tp_defect)
-from .data import batches as batch_stream
 from .dv import random_unitary
 
 _SIGN_EPS = 1e-15
@@ -212,8 +212,10 @@ def fit(tomogram, cfg, init=None):
     current stack: its value, the loss after the previous step, is recorded
     and plateau-checked there, and its gradient drives the next step; one
     value-only pass closes the trace.  ``trace.loss[t]`` is the loss after
-    step t on the batch of step t + 1 (the full loss in full batch).  The
-    loop runs on the raw kN x N stack; only the result is wrapped.
+    step t on the batch of step t + 1 (the full loss in full batch).  With
+    cfg.batch_size below the entry count, each pass draws batch_size
+    distinct (i, j) pairs uniformly.  The loop runs on the raw kN x N
+    stack; only the result is wrapped.
 
     cfg.k above N^2, the largest Choi rank, raises ValueError.  ``init``
     overrides the random starting point; it must be a TP stack with cfg.k
@@ -239,13 +241,17 @@ def fit(tomogram, cfg, init=None):
     trace = FitTrace()
     full_batch = (cfg.batch_size is None
                   or cfg.batch_size >= tomogram.num_entries)
-    stream = None if full_batch else batch_stream(tomogram, cfg.batch_size, rng)
     full_terms = _terms(tomogram, None)
     eta = cfg.eta0
     prev_full = None
     for it in range(cfg.max_iters + 1):
         t0 = time.perf_counter()
-        terms = full_terms if full_batch else _terms(tomogram, next(stream))
+        terms = full_terms
+        if not full_batch:
+            flat = rng.choice(tomogram.num_entries, cfg.batch_size,
+                              replace=False)
+            terms = _terms(tomogram, np.column_stack(
+                np.divmod(flat, tomogram.num_measurements)))
         last = it == cfg.max_iters
         value, grad = _objective(stack, terms, cfg.lam, not last)
         if it:

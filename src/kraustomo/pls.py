@@ -4,12 +4,12 @@ The unconstrained Choi estimate is a factored linear inversion: every
 tomogram is a probe set x measurement set, so the sensing matrix is
 S = (R (x) M) P with P a column permutation, and its pseudo-inverse
 factors as P^T (pinv R (x) pinv M) (Surawy-Stepney et al., Quantum 6,
-844 (2022)); R is the flattened probe stack and M is formed straight
-from the tomogram's real measurement matrix T.  The dense S
-(``data.sensing_matrix``) is never built; it remains only as a reference
-oracle.  The estimate is then projected onto the CPTP set with Dykstra's
-alternating projections between the PSD cone (CP) and the TP affine
-subspace.
+844 (2022)); R is the flattened probe stack and M the conjugated,
+flattened measurement stack, both from the tomogram's dense views.  The
+dense S (``data.sensing_matrix``) is never built; it remains only as a
+reference oracle.  The estimate is then projected onto the CPTP set with
+Dykstra's alternating projections between the PSD cone (CP) and the TP
+affine subspace.
 """
 
 from __future__ import annotations
@@ -53,17 +53,14 @@ def linear_inversion(tomogram):
     With R holding the conjugated, flattened rho_i^T and M the
     conjugated, flattened M_j, the data are d = R X M^T for X a
     reshuffle of the Choi matrix, so X = pinv(R) d pinv(M)^T.  Probes
-    are Hermitian, so R is the flattened rho_i; for Hermitian M_j,
-    conj(M_j) = (T + T^T)/2 - i (T - T^T)/2 from the real T.  Requires
-    an informationally complete tomogram (rank R = rank M = N^2);
-    raises InformationIncompleteError otherwise.
+    are Hermitian, so R is the flattened rho_i.  Requires an
+    informationally complete tomogram (rank R = rank M = N^2); raises
+    InformationIncompleteError otherwise.
     """
     n = tomogram.dim
     n2 = n * n
     r = tomogram.probes.reshape(-1, n2)
-    t = tomogram.meas_real.reshape(-1, n, n)
-    m = (0.5 * (t + t.swapaxes(1, 2))
-         - 0.5j * (t - t.swapaxes(1, 2))).reshape(-1, n2)
+    m = tomogram.measurements.conj().reshape(-1, n2)
     ranks = np.linalg.matrix_rank(r), np.linalg.matrix_rank(m)
     if min(ranks) < n2:
         raise InformationIncompleteError(

@@ -39,6 +39,23 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="gd may not set"):
             small_spec(sweep=sweep, gd=gd)
 
+    @pytest.mark.parametrize("methods", [["gd", "GD"], ["pls", "bogus"]])
+    def test_rejects_unknown_method(self, methods):
+        with pytest.raises(ValueError, match="unknown methods"):
+            small_spec(methods=methods)
+
+    @pytest.mark.parametrize("sweep", ["noise", "gamma"])
+    def test_rejects_gd_without_kraus(self, sweep):
+        with pytest.raises(ValueError, match="non-empty kraus"):
+            small_spec(sweep=sweep, kraus=[])
+        # PLS alone and the timing sweep (3 operators) read no kraus list.
+        assert small_spec(sweep=sweep, kraus=[], methods=["pls"]).kraus == []
+        assert small_spec(sweep="timing", kraus=[]).kraus == []
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            small_spec(seeds=[0, -1])
+
     def test_keeps_gd_keys_the_cells_leave(self):
         assert small_spec(gd={"max_iters": 5, "batch_size": 8}).gd == {
             "max_iters": 5, "batch_size": 8}
@@ -101,9 +118,9 @@ class TestRunSweep:
         assert {row["method"] for row in rows} >= set(methods)
 
     def test_failed_cell_recorded(self):
-        spec = small_spec(rank=2)
-        spec.methods = ["bogus"]
-        rows = run_sweep(spec)
+        # Five operators exceed the Choi rank bound N^2 = 4 of one qubit.
+        rows = run_sweep(small_spec(kraus=[5]))
+        assert len(rows) == 2
         assert all(row["method"] == "error" for row in rows)
 
 
@@ -142,11 +159,11 @@ class TestRunBenchmark:
 
     def test_failed_cell_error_message_in_csv(self, tmp_path):
         csv_path = tmp_path / "rows.csv"
-        spec = small_spec(methods=["bogus"])
+        spec = small_spec(kraus=[5])
         rows, _ = run_benchmark(spec, csv_path, tmp_path / "summary.json")
         with open(csv_path) as fh:
             reader = list(csv.DictReader(fh))
         assert [r["method"] for r in reader] == ["error", "error"]
         for written, row in zip(reader, rows):
-            assert "bogus" in written["error"]
+            assert "N^2 = 4" in written["error"]
             assert written["error"] == row["error"]

@@ -105,6 +105,34 @@ class TestSynth:
               "--seed", "0", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("argv", [
+        ("synth", "--kind", "dv", "--seed", "-1", "--out", "x.json"),
+        ("synth", "--kind", "dv", "--seed", "1.5", "--out", "x.json"),
+        ("reconstruct", "--method", "gd", "--data", "d.json",
+         "--seed", "-3")])
+    def test_negative_seed_names_the_option(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "argument --seed: expected a non-negative integer" in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("--dim", "1", "--theta", "0"), id="dim-1"),
+        pytest.param(("--dim", "4"), id="dim-4-six-default-phases"),
+        pytest.param(("--dim", "1"), id="dim-1-six-default-phases")])
+    def test_rejected_cv_cutoff_warns_nothing(self, tmp_path, capsys, argv):
+        # The cutoff and the phase count are checked before any grid is
+        # built, so no truncation warning precedes the error.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["synth", "--kind", "cv", *argv,
+                         "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_USAGE
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
     def test_too_many_qubits_exits_2(self, tmp_path, capsys):
         code = main(["synth", "--kind", "dv", "--qubits", "6",
                      "--out", str(tmp_path / "x.json")])
@@ -569,8 +597,19 @@ class TestBenchmarkCommand:
          "colour"),
         ({"sweep": "noise", "values": [1e-2], "seeds": [0], "kraus": [4],
           "gd": {"k": 1}}, "gd may not set"),
+        ({"sweep": "noise", "values": [1e-2], "seeds": [0],
+          "methods": ["gd", "GD"]}, "unknown methods"),
+        ({"sweep": "gamma", "values": [1.0], "seeds": [0], "kraus": []},
+         "non-empty kraus"),
+        ({"sweep": "noise", "values": [1e-2], "seeds": [-1]},
+         "non-negative"),
     ])
-    def test_bad_spec_exits_2(self, tmp_path, capsys, doc, match):
+    def test_bad_spec_exits_2(self, tmp_path, capsys, monkeypatch, doc,
+                              match):
+        # Rejected with the spec: no cell synthesizes anything.
+        def no_synthesis(*args, **kwargs):
+            raise AssertionError("a cell ran for a bad spec")
+        monkeypatch.setattr(bench, "synthesize", no_synthesis)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
         code = main(["benchmark", "--spec", str(spec), "--out-csv",

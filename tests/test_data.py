@@ -16,7 +16,7 @@ from kraustomo import data as data_module
 from kraustomo.cli import main
 from kraustomo.core import KrausStack, kraus_to_choi
 from kraustomo.cv import CvGrid, coherent_ket, displaced_parity
-from kraustomo.data import (SchemaError, Tomogram, batches, complex_from_json,
+from kraustomo.data import (SchemaError, Tomogram, complex_from_json,
                             complex_to_json, export_csv, load,
                             materialize_probes, save, sensing_matrix,
                             subsample, synthesize)
@@ -79,13 +79,17 @@ class TestSynthesize:
         assert abs(delta.mean()) < 5e-4                 # ~3 sigma of the mean
         assert delta.std() == pytest.approx(1e-2, rel=0.1)
 
-    def test_truth_embedding_optional(self, ensemble, rng):
+    def test_truth_embedding_optional(self, ensemble, rng, tmp_path):
+        # synthesize keeps its process; a tomogram built without one, as
+        # load builds a file that stores none, has no truth.
         process = random_process(4, 2, rng)
         with_truth = synthesize(process, ensemble, ensemble, 0.0)
-        without = synthesize(process, ensemble, ensemble,
-                             0.0, keep_truth=False)
+        without = Tomogram("dv", 4, with_truth.probe_factors,
+                           with_truth.meas_real, with_truth.data, 0.0)
         assert with_truth.truth is process
         assert without.truth is None
+        save(without, tmp_path / "t.json")
+        assert load(tmp_path / "t.json").truth is None
 
 
 class TestSubsample:
@@ -116,31 +120,6 @@ class TestSubsample:
     def test_tiny_gamma_fails(self, noisy_tomogram, rng):
         with pytest.raises(ValueError, match="empty"):
             subsample(noisy_tomogram, 1e-4, rng)
-
-
-class TestBatches:
-    def test_batch_shape_and_uniqueness(self, noisy_tomogram, rng):
-        stream = batches(noisy_tomogram, 256, rng)
-        batch = next(stream)
-        assert batch.shape == (256, 2)
-        assert len({(i, j) for i, j in batch}) == 256
-        assert batch[:, 0].max() < 36 and batch[:, 1].max() < 36
-
-    def test_deterministic_for_seed(self, noisy_tomogram):
-        a = next(batches(noisy_tomogram, 64, np.random.default_rng(3)))
-        b = next(batches(noisy_tomogram, 64, np.random.default_rng(3)))
-        assert np.array_equal(a, b)
-
-    def test_full_batch_mode(self, noisy_tomogram, rng):
-        stream = batches(noisy_tomogram, 10_000, rng)
-        batch = next(stream)
-        assert batch.shape == (36 * 36, 2)
-        assert tuple(batch[0]) == (0, 0)
-        assert tuple(batch[-1]) == (35, 35)
-
-    def test_rejects_zero_batch(self, noisy_tomogram, rng):
-        with pytest.raises(ValueError, match="batch_size"):
-            next(batches(noisy_tomogram, 0, rng))
 
 
 class TestSensingMatrix:

@@ -4,7 +4,7 @@ import pytest
 from kraustomo import gd as gd_module
 from kraustomo.core import KrausStack, tp_defect
 from kraustomo.data import synthesize
-from kraustomo.dv import pauli_projectors, random_process
+from kraustomo.dv import pauli_kets, pauli_projectors, random_process
 from kraustomo.gd import (FitTrace, GdConfig, cayley_step, fit, init_kraus,
                           loss, value_and_grad, wirtinger_gradient)
 
@@ -304,6 +304,48 @@ class TestFit:
         est, _ = fit(tomogram, cfg)
         fid = process_fidelity(kraus_to_choi(process), kraus_to_choi(est))
         assert fid.fidelity > 0.99
+
+
+class TestBatches:
+    """The minibatches a fit draws, as its passes hand them to _terms."""
+
+    @pytest.fixture()
+    def two_qubit_tomogram(self, rng):
+        ops = pauli_kets(2)
+        return synthesize(random_process(4, 3, rng), ops, ops, 1e-2, rng)
+
+    @staticmethod
+    def drawn(monkeypatch, tomogram, cfg):
+        batches = []
+        original = gd_module._terms
+
+        def spy(tomogram, batch):
+            if batch is not None:
+                batches.append(np.asarray(batch))
+            return original(tomogram, batch)
+        with monkeypatch.context() as patched:
+            patched.setattr(gd_module, "_terms", spy)
+            fit(tomogram, cfg)
+        return batches
+
+    def test_batch_shape_and_uniqueness(self, monkeypatch,
+                                        two_qubit_tomogram):
+        batches = self.drawn(monkeypatch, two_qubit_tomogram, GdConfig(
+            k=2, max_iters=3, batch_size=256, seed=0))
+        assert len(batches) == 4            # three steps, one closing pass
+        for batch in batches:
+            assert batch.shape == (256, 2)
+            assert len({(i, j) for i, j in batch}) == 256
+            assert batch.min() >= 0
+            assert batch[:, 0].max() < 36 and batch[:, 1].max() < 36
+
+    def test_deterministic_for_seed(self, monkeypatch, two_qubit_tomogram):
+        def draws(seed):
+            return self.drawn(monkeypatch, two_qubit_tomogram, GdConfig(
+                k=2, max_iters=3, batch_size=64, seed=seed))
+        a, b, other = draws(3), draws(3), draws(4)
+        assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+        assert not np.array_equal(a[0], other[0])
 
 
 def _golden_tomogram():
