@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -19,7 +20,7 @@ from .core import ChoiMatrix, kraus_to_choi, process_fidelity
 from .data import SchemaError, expect_object, subsample, synthesize
 from .dv import pauli_kets, random_process
 from .gd import GdConfig, fit
-from .pls import InformationIncompleteError, PlsConfig, fit_pls, project_cp
+from .pls import InformationIncompleteError, fit_pls, project_cp
 
 CSV_HEADER = ["sweep_value", "seed", "method", "k", "infidelity",
               "iterations", "wall_time_s", "error"]
@@ -27,6 +28,12 @@ CSV_HEADER = ["sweep_value", "seed", "method", "k", "infidelity",
 # Probe/measurement subset size used for timing cells where the full
 # ensemble is unnecessary (per-iteration cost is batch-size bound).
 _TIMING_SUBSET = 64
+
+
+def _count_in(x, lo, hi=math.inf):
+    """Whether x is an integer (not a bool) in [lo, hi]."""
+    return (isinstance(x, numbers.Integral) and not isinstance(x, bool)
+            and lo <= x <= hi)
 
 
 @dataclass
@@ -52,12 +59,27 @@ class SweepSpec:
         if owned & set(self.gd):
             raise ValueError(f"gd may not set {sorted(owned & set(self.gd))}: "
                              f"the {self.sweep} sweep sets them per cell")
+        GdConfig(**self.gd)            # GdConfig checks the other keys
         if set(self.methods) - {"gd", "pls"}:
             raise ValueError(f"unknown methods in {self.methods}: gd or pls")
-        if "gd" in self.methods and not self.kraus and self.sweep != "timing":
-            raise ValueError("a gd sweep needs a non-empty kraus list")
-        if min(self.seeds) < 0:
-            raise ValueError(f"seeds must be non-negative, got {self.seeds}")
+        if not all(_count_in(s, 0) for s in self.seeds):
+            raise ValueError(f"seeds must be non-negative integers, "
+                             f"got {self.seeds}")
+        if self.sweep == "timing":
+            if not all(_count_in(n, 1) for n in self.values):
+                raise ValueError(f"timing values are qubit counts >= 1, "
+                                 f"got {self.values}")
+            return
+        if not _count_in(self.n_qubits, 1):
+            raise ValueError(f"n_qubits must be an integer >= 1, "
+                             f"got {self.n_qubits}")
+        top = 4 ** self.n_qubits       # N^2, the largest Choi rank
+        if not _count_in(self.rank, 1, top):
+            raise ValueError(f"rank must be in [1, {top}], got {self.rank}")
+        if "gd" in self.methods and not (
+                self.kraus and all(_count_in(k, 1, top) for k in self.kraus)):
+            raise ValueError(f"a gd sweep needs a non-empty kraus list with "
+                             f"entries in [1, {top}], got {self.kraus}")
 
     @classmethod
     def from_json(cls, path):
@@ -90,7 +112,7 @@ def _reconstruct_rows(spec, value, seed, tomogram, truth):
         else:
             t0 = time.perf_counter()
             try:
-                res = fit_pls(tomogram, PlsConfig())
+                res = fit_pls(tomogram)
             except InformationIncompleteError:
                 rows.append(_row(value, seed, "pls", "", math.nan, 0,
                                  time.perf_counter() - t0))

@@ -221,14 +221,15 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--out")
     p.add_argument("--kraus", type=int, default=3)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--decay", type=float, default=0.999)
-    p.add_argument("--l1", type=float, default=1e-3)
-    p.add_argument("--iters", type=int, default=200)
+    p.add_argument("--lr", type=float, default=gd.GdConfig.eta0)
+    p.add_argument("--decay", type=float, default=gd.GdConfig.decay)
+    p.add_argument("--l1", type=float, default=gd.GdConfig.lam)
+    p.add_argument("--iters", type=int, default=gd.GdConfig.max_iters)
     p.add_argument("--batch", type=int)
-    p.add_argument("--seed", type=_parse_seed, default=0)
-    p.add_argument("--proj-iters", type=int, default=1000)
-    p.add_argument("--proj-tol", type=float, default=1e-7)
+    p.add_argument("--seed", type=_parse_seed, default=gd.GdConfig.seed)
+    p.add_argument("--proj-iters", type=int,
+                   default=pls.PlsConfig.dykstra_max_iters)
+    p.add_argument("--proj-tol", type=float, default=pls.PlsConfig.dykstra_tol)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("fidelity", help="process fidelity between two files")

@@ -64,9 +64,6 @@ class DensityMatrix:
     def dim(self):
         return self.mat.shape[0]
 
-    def purity(self):
-        return float(np.real(np.trace(self.mat @ self.mat)))
-
 
 class KrausStack:
     """An ordered set of k Kraus operators, also viewed as a kN x N stack.
@@ -83,13 +80,6 @@ class KrausStack:
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
             raise ValueError(f"expected (k, N, N) blocks, got {blocks.shape}")
         self.blocks = blocks
-
-    @classmethod
-    def from_stacked(cls, stacked, dim):
-        stacked = _as_complex(stacked)
-        if stacked.shape[0] % dim or stacked.shape[1] != dim:
-            raise ValueError(f"stacked shape {stacked.shape} not (k*{dim}, {dim})")
-        return cls(stacked.reshape(-1, dim, dim))
 
     @property
     def dim(self):

@@ -15,12 +15,15 @@ serve the residuals (hence the loss) and the gradient
 the raw kN x N stack with :func:`core.probe_terms` built once per fit, so
 a full-batch iteration builds none; a minibatch fit draws its (i, j)
 pairs without replacement and builds their terms once per step.
+
+:class:`GdConfig` holds only what a caller sets; the stop rule of
+:func:`fit` is fixed by the module constants below.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,6 +32,9 @@ from .core import (VALID_TOL, KrausStack, factored_expectations,
 from .dv import random_unitary
 
 _SIGN_EPS = 1e-15
+GRAD_NORM_FLOOR = 1e-12
+PLATEAU_TOL = 1e-10
+PLATEAU_WINDOW = 20
 
 
 @dataclass
@@ -42,9 +48,6 @@ class GdConfig:
     max_iters: int = 200
     batch_size: int | None = None     # None = full batch
     seed: int = 0
-    grad_norm_floor: float = 1e-12
-    plateau_tol: float = 1e-10
-    plateau_window: int = 20
 
     def __post_init__(self):
         if self.k < 1:
@@ -57,19 +60,12 @@ class GdConfig:
             raise ValueError(f"lambda must be finite and >= 0, got {self.lam}")
         if self.max_iters < 0:
             raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
-        if self.plateau_window < 1:
-            raise ValueError(
-                f"plateau_window must be >= 1, got {self.plateau_window}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
     def to_dict(self):
-        return {"k": self.k, "eta0": self.eta0, "decay": self.decay,
-                "lambda": self.lam, "max_iters": self.max_iters,
-                "batch_size": self.batch_size, "seed": self.seed,
-                "grad_norm_floor": self.grad_norm_floor,
-                "plateau_tol": self.plateau_tol,
-                "plateau_window": self.plateau_window}
+        return {"lambda" if key == "lam" else key: value
+                for key, value in asdict(self).items()}
 
 
 @dataclass
@@ -135,7 +131,7 @@ def _objective(stack, terms, lam, with_grad):
     return value, None if grad is None else grad.reshape(-1, n)
 
 
-def value_and_grad(kraus, tomogram, batch=None, lam=1e-3):
+def value_and_grad(kraus, tomogram, batch=None, lam=GdConfig.lam):
     """The loss and its conjugate (Wirtinger) gradient from one forward pass.
 
     The loss is the squared-residual sum over the batch (an iterable of
@@ -147,7 +143,7 @@ def value_and_grad(kraus, tomogram, batch=None, lam=1e-3):
     return _objective(kraus.stacked, _terms(tomogram, batch), lam, True)
 
 
-def loss(kraus, tomogram, batch=None, lam=1e-3):
+def loss(kraus, tomogram, batch=None, lam=GdConfig.lam):
     """Squared-residual sum over the batch plus lam * sum of entry moduli.
 
     batch is an iterable of (i, j) index pairs; None means all entries.
@@ -155,7 +151,7 @@ def loss(kraus, tomogram, batch=None, lam=1e-3):
     return _objective(kraus.stacked, _terms(tomogram, batch), lam, False)[0]
 
 
-def wirtinger_gradient(kraus, tomogram, batch=None, lam=1e-3):
+def wirtinger_gradient(kraus, tomogram, batch=None, lam=GdConfig.lam):
     """Conjugate gradient of the loss w.r.t. the stacked Kraus matrix.
 
     The gradient half of :func:`value_and_grad`; a kN x N array,
@@ -179,7 +175,7 @@ def cayley_step(kraus, grad, eta):
     grad = np.asarray(grad)
     if grad.shape != stack.shape:
         raise ValueError(f"gradient shape {grad.shape} != stack {stack.shape}")
-    return KrausStack.from_stacked(_cayley(stack, grad, eta), kraus.dim)
+    return KrausStack(_cayley(stack, grad, eta).reshape(kraus.blocks.shape))
 
 
 def _cayley(stack, grad, eta):
@@ -204,9 +200,9 @@ def fit(tomogram, cfg, init=None):
     """Reconstruct a Kraus stack from tomogram data.
 
     Iterates normalized-gradient Cayley steps with a decaying learning
-    rate until max_iters, a vanishing gradient, or a loss plateau
-    (relative change of the full-batch loss below plateau_tol between
-    evaluations spaced plateau_window iterations apart).
+    rate until max_iters, a gradient norm below GRAD_NORM_FLOOR, or a loss
+    plateau (relative change of the full-batch loss below PLATEAU_TOL
+    between evaluations spaced PLATEAU_WINDOW iterations apart).
 
     Each iteration makes one forward pass (:func:`value_and_grad`) at the
     current stack: its value, the loss after the previous step, is recorded
@@ -257,13 +253,13 @@ def fit(tomogram, cfg, init=None):
         if it:
             # value is the loss after the step taken in iteration it - 1
             trace.loss.append(value)
-            if it % cfg.plateau_window == 0:
+            if it % PLATEAU_WINDOW == 0:
                 full = (value if full_batch else
                         _objective(stack, full_terms, cfg.lam, False)[0])
                 trace.full_loss.append((it, full))
                 if prev_full is not None:
                     rel = abs(prev_full - full) / max(abs(full), 1e-300)
-                    if rel < cfg.plateau_tol:
+                    if rel < PLATEAU_TOL:
                         trace.stop_reason = "plateau"
                         break
                 prev_full = full
@@ -271,7 +267,7 @@ def fit(tomogram, cfg, init=None):
             break
         t1 = time.perf_counter()
         gnorm = float(np.linalg.norm(grad))
-        if gnorm < cfg.grad_norm_floor:
+        if gnorm < GRAD_NORM_FLOOR:
             trace.stop_reason = "gradient_floor"
             break
         stack = _cayley(stack, grad / gnorm, eta)
@@ -290,4 +286,4 @@ def fit(tomogram, cfg, init=None):
         trace.iter_time_s.append(time.perf_counter() - t0)
         trace.n_iters = it + 1
         eta *= cfg.decay
-    return KrausStack.from_stacked(stack, tomogram.dim), trace
+    return KrausStack(stack.reshape(init.blocks.shape)), trace

@@ -14,7 +14,7 @@ affine subspace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,9 +35,7 @@ class PlsConfig:
             raise ValueError("iterations and tolerance must be finite and > 0")
 
     def to_dict(self):
-        return {"dykstra_max_iters": self.dykstra_max_iters,
-                "dykstra_tol": self.dykstra_tol,
-                "projection": "dykstra-alternating"}
+        return {**asdict(self), "projection": "dykstra-alternating"}
 
 
 @dataclass

@@ -5,19 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from kraustomo import core, data
+from kraustomo import bench, core, data
 from kraustomo.bench import (CSV_HEADER, SweepSpec, run_benchmark, run_sweep,
                              summarize)
 
 
 def small_spec(**overrides):
-    base = dict(sweep="noise", values=[1e-2], seeds=[0, 1], n_qubits=1,
-                rank=2, kraus=[2], methods=["gd"])
+    base = dict(sweep="noise", seeds=[0, 1], n_qubits=1, rank=2, kraus=[2],
+                methods=["gd"])
     base.update(overrides)
-    # A timing cell sets max_iters itself; the other sweeps cap it at 20.
-    base.setdefault("gd", {} if base["sweep"] == "timing"
-                    else {"max_iters": 20})
+    # A timing cell's value is its qubit count, and it sets max_iters
+    # itself; the other sweeps cap it at 20.
+    timing = base["sweep"] == "timing"
+    base.setdefault("values", [1] if timing else [1e-2])
+    base.setdefault("gd", {} if timing else {"max_iters": 20})
     return SweepSpec(**base)
+
+
+def failing_fit(monkeypatch):
+    def fail(tomogram, cfg):
+        raise ValueError(f"no fit at k = {cfg.k}")
+    monkeypatch.setattr(bench, "fit", fail)
 
 
 class TestSweepSpec:
@@ -56,6 +64,44 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="non-negative"):
             small_spec(seeds=[0, -1])
 
+    @pytest.mark.parametrize("seed", [1.5, True, "0"])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            small_spec(seeds=[0, seed])
+
+    @pytest.mark.parametrize("values", [[0], [1.5], [True]])
+    def test_rejects_timing_values_that_are_not_qubit_counts(self, values):
+        with pytest.raises(ValueError, match="qubit counts"):
+            small_spec(sweep="timing", values=values)
+
+    @pytest.mark.parametrize("sweep", ["noise", "gamma"])
+    @pytest.mark.parametrize("fields, match", [
+        ({"n_qubits": 0}, "n_qubits"), ({"n_qubits": 1.0}, "n_qubits"),
+        ({"rank": 0}, r"rank must be in \[1, 4\]"),
+        ({"rank": 5}, r"rank must be in \[1, 4\]"),
+        ({"n_qubits": 1, "rank": 16}, r"rank must be in \[1, 4\]"),
+        ({"kraus": [2, 0]}, r"kraus list with entries in \[1, 4\]"),
+        ({"kraus": [5]}, r"kraus list with entries in \[1, 4\]"),
+        ({"kraus": [1.5]}, r"kraus list with entries in \[1, 4\]")])
+    def test_rejects_sizes_out_of_range(self, sweep, fields, match):
+        with pytest.raises(ValueError, match=match):
+            small_spec(sweep=sweep, **fields)
+
+    def test_checks_only_the_fields_a_sweep_reads(self):
+        # PLS alone reads no kraus list; a timing sweep reads neither
+        # n_qubits nor rank.
+        assert small_spec(kraus=[5], methods=["pls"]).kraus == [5]
+        assert small_spec(sweep="timing", n_qubits=0, rank=0).n_qubits == 0
+
+    @pytest.mark.parametrize("gd, error, match", [
+        ({"max_iters": -1}, ValueError, "max_iters"),
+        ({"eta0": 0.0}, ValueError, "eta0"),
+        ({"bogus": 1}, TypeError, "bogus"),
+        ({"plateau_tol": 1e-2}, TypeError, "plateau_tol")])
+    def test_gd_entries_checked_by_gd_config(self, gd, error, match):
+        with pytest.raises(error, match=match):
+            small_spec(gd=gd)
+
     def test_keeps_gd_keys_the_cells_leave(self):
         assert small_spec(gd={"max_iters": 5, "batch_size": 8}).gd == {
             "max_iters": 5, "batch_size": 8}
@@ -64,7 +110,8 @@ class TestSweepSpec:
     def test_from_json(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"sweep": "gamma", "values": [0.5],
-                                    "seeds": [3], "n_qubits": 1, "rank": 2}))
+                                    "seeds": [3], "n_qubits": 1, "rank": 2,
+                                    "kraus": [2]}))
         spec = SweepSpec.from_json(path)
         assert spec.sweep == "gamma"
         assert spec.seeds == [3]
@@ -117,9 +164,9 @@ class TestRunSweep:
         assert [row["error"] for row in rows] == [""] * len(rows)
         assert {row["method"] for row in rows} >= set(methods)
 
-    def test_failed_cell_recorded(self):
-        # Five operators exceed the Choi rank bound N^2 = 4 of one qubit.
-        rows = run_sweep(small_spec(kraus=[5]))
+    def test_failed_cell_recorded(self, monkeypatch):
+        failing_fit(monkeypatch)
+        rows = run_sweep(small_spec())
         assert len(rows) == 2
         assert all(row["method"] == "error" for row in rows)
 
@@ -157,13 +204,14 @@ class TestRunBenchmark:
         assert doc["schema_version"] == 1
         assert doc["summary"] == summary
 
-    def test_failed_cell_error_message_in_csv(self, tmp_path):
+    def test_failed_cell_error_message_in_csv(self, tmp_path, monkeypatch):
+        failing_fit(monkeypatch)
         csv_path = tmp_path / "rows.csv"
-        spec = small_spec(kraus=[5])
-        rows, _ = run_benchmark(spec, csv_path, tmp_path / "summary.json")
+        rows, _ = run_benchmark(small_spec(), csv_path,
+                                tmp_path / "summary.json")
         with open(csv_path) as fh:
             reader = list(csv.DictReader(fh))
         assert [r["method"] for r in reader] == ["error", "error"]
         for written, row in zip(reader, rows):
-            assert "N^2 = 4" in written["error"]
+            assert written["error"] == "no fit at k = 2"
             assert written["error"] == row["error"]

@@ -255,6 +255,18 @@ class TestReconstruct:
         assert doc["method"] == "pls"
         assert doc["converged"] is True
 
+    @pytest.mark.parametrize("method, cfg", [
+        ("gd", gd.GdConfig(k=3, seed=0)), ("pls", pls.PlsConfig())],
+        ids=["gd", "pls"])
+    def test_defaults_are_the_configs(self, dv_dataset, tmp_path, method,
+                                      cfg):
+        # With no tuning flag the file records the config classes' own
+        # defaults (and --kraus 3, the CLI's).
+        out = tmp_path / "est.json"
+        assert main(["reconstruct", "--method", method, "--data",
+                     str(dv_dataset), "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["config"] == cfg.to_dict()
+
     def test_pls_on_subsampled_data_exits_3(self, tmp_path, capsys):
         data_path = tmp_path / "sub.json"
         main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "2",
@@ -603,6 +615,19 @@ class TestBenchmarkCommand:
          "non-empty kraus"),
         ({"sweep": "noise", "values": [1e-2], "seeds": [-1]},
          "non-negative"),
+        ({"sweep": "noise", "values": [1e-2], "seeds": [0], "kraus": [0]},
+         "entries in [1, 16]"),
+        ({"sweep": "noise", "values": [1e-2], "seeds": [0], "n_qubits": 0},
+         "n_qubits must be"),
+        ({"sweep": "noise", "values": [1e-2], "seeds": [1.5]},
+         "non-negative integers"),
+        ({"sweep": "noise", "values": [1e-2], "seeds": [0], "n_qubits": 1},
+         "rank must be in [1, 4]"),
+        ({"sweep": "noise", "values": [1e-2], "seeds": [0],
+          "gd": {"max_iters": -1}}, "max_iters must be"),
+        ({"sweep": "noise", "values": [1e-2], "seeds": [0],
+          "gd": {"bogus": 1}}, "bogus"),
+        ({"sweep": "timing", "values": [0], "seeds": [0]}, "qubit counts"),
     ])
     def test_bad_spec_exits_2(self, tmp_path, capsys, monkeypatch, doc,
                               match):

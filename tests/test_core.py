@@ -1,8 +1,10 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
+import kraustomo
 from kraustomo import bench, cli, core, cv
 from kraustomo.core import (ChoiMatrix, DensityMatrix, KrausStack,
                             apply_kraus, choi_apply, kraus_to_choi,
@@ -24,6 +26,12 @@ def random_state(dim, rng):
     return DensityMatrix(np.outer(v, v.conj()))
 
 
+def test_package_root_exports_nothing():
+    # Each public name has one import path: its submodule.
+    assert [name for name, value in vars(kraustomo).items()
+            if inspect.isfunction(value) or inspect.isclass(value)] == []
+
+
 class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
@@ -36,9 +44,6 @@ class TestDensityMatrix:
     def test_rejects_negative_eigenvalue(self):
         with pytest.raises(ValueError, match="eigenvalue"):
             DensityMatrix(np.diag([1.5, -0.5]))
-
-    def test_purity_of_pure_state(self, rng):
-        assert random_state(4, rng).purity() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestApplyKraus:

@@ -39,13 +39,24 @@ class TestGdConfig:
     @pytest.mark.parametrize("kwargs", [{"k": 0}, {"eta0": 0.0},
                                         {"decay": 0.0}, {"decay": 1.5},
                                         {"lam": -1.0}, {"max_iters": -1},
-                                        {"plateau_window": 0},
+                                        {"decay": np.nan},
                                         {"batch_size": 0},
                                         {"eta0": np.nan}, {"eta0": np.inf},
                                         {"lam": np.nan}, {"lam": np.inf}])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             GdConfig(**kwargs)
+
+    def test_seven_fields(self):
+        assert list(GdConfig().to_dict()) == [
+            "k", "eta0", "decay", "lambda", "max_iters", "batch_size", "seed"]
+
+    @pytest.mark.parametrize("key", ["grad_norm_floor", "plateau_tol",
+                                     "plateau_window"])
+    def test_stop_rule_is_not_a_field(self, key):
+        # The stop rule is the module constants'; no config sets it.
+        with pytest.raises(TypeError, match=key):
+            GdConfig(**{key: 1})
 
 
 class TestLoss:
@@ -364,31 +375,31 @@ class TestFitStops:
         assert trace.loss[-1] == loss(est, tomogram, None, 1e-3)
         assert trace.full_loss[-1] == (20, trace.loss[19])
 
-    def test_plateau(self):
+    def test_plateau(self, monkeypatch):
+        monkeypatch.setattr(gd_module, "PLATEAU_TOL", 1e-2)
         tomogram = _golden_tomogram()
-        _, trace = fit(tomogram, GdConfig(k=2, max_iters=400, seed=1,
-                                          plateau_tol=1e-2))
+        _, trace = fit(tomogram, GdConfig(k=2, max_iters=400, seed=1))
         assert trace.stop_reason == "plateau"
         assert trace.n_iters == 100
         assert len(trace.loss) == len(trace.tp_defect) == 100
         assert [it for it, _ in trace.full_loss] == [20, 40, 60, 80, 100]
         assert trace.full_loss[-1][1] == trace.loss[-1]
 
-    def test_plateau_on_the_last_iteration(self):
+    def test_plateau_on_the_last_iteration(self, monkeypatch):
         # The plateau check after the final step runs in the closing
         # value-only pass.
+        monkeypatch.setattr(gd_module, "PLATEAU_TOL", 1e-2)
         tomogram = _golden_tomogram()
-        _, trace = fit(tomogram, GdConfig(k=2, max_iters=100, seed=1,
-                                          plateau_tol=1e-2))
+        _, trace = fit(tomogram, GdConfig(k=2, max_iters=100, seed=1))
         assert trace.stop_reason == "plateau"
         assert trace.n_iters == 100
         assert len(trace.loss) == 100
         assert [it for it, _ in trace.full_loss] == [20, 40, 60, 80, 100]
 
-    def test_gradient_floor(self):
+    def test_gradient_floor(self, monkeypatch):
+        monkeypatch.setattr(gd_module, "GRAD_NORM_FLOOR", 0.05)
         tomogram = _golden_tomogram()
-        _, trace = fit(tomogram, GdConfig(k=2, max_iters=200, seed=1,
-                                          grad_norm_floor=0.05))
+        _, trace = fit(tomogram, GdConfig(k=2, max_iters=200, seed=1))
         assert trace.stop_reason == "gradient_floor"
         assert trace.n_iters == 26
         assert len(trace.loss) == len(trace.tp_defect) == 26
@@ -452,11 +463,13 @@ class TestFitStops:
         with pytest.raises(ValueError, match="tp_defect nan"):
             fit(_golden_tomogram(), GdConfig(k=2, max_iters=5, seed=1))
 
-    @pytest.mark.parametrize("cfg", [
-        GdConfig(k=2, max_iters=12, seed=1, eta0=0.3, decay=0.9),
-        GdConfig(k=2, max_iters=200, seed=1, grad_norm_floor=0.05),
+    @pytest.mark.parametrize("cfg, floor", [
+        (GdConfig(k=2, max_iters=12, seed=1, eta0=0.3, decay=0.9),
+         gd_module.GRAD_NORM_FLOOR),
+        (GdConfig(k=2, max_iters=200, seed=1), 0.05),
     ], ids=["max_iters", "gradient_floor"])
-    def test_grad_norm_and_eta_per_step(self, cfg):
+    def test_grad_norm_and_eta_per_step(self, monkeypatch, cfg, floor):
+        monkeypatch.setattr(gd_module, "GRAD_NORM_FLOOR", floor)
         tomogram = _golden_tomogram()
         _, trace = fit(tomogram, cfg)
         assert len(trace.grad_norm) == len(trace.eta) == trace.n_iters
@@ -471,12 +484,14 @@ class TestFitStops:
             want = np.linalg.norm(value_and_grad(start, tomogram)[1])
             assert trace.grad_norm[t] == pytest.approx(want, rel=1e-12)
 
-    @pytest.mark.parametrize("cfg", [
-        GdConfig(k=2, max_iters=30, seed=1),
-        GdConfig(k=2, max_iters=200, seed=1, grad_norm_floor=0.05),
-        GdConfig(k=2, max_iters=45, seed=1, batch_size=10),
+    @pytest.mark.parametrize("cfg, floor", [
+        (GdConfig(k=2, max_iters=30, seed=1), gd_module.GRAD_NORM_FLOOR),
+        (GdConfig(k=2, max_iters=200, seed=1), 0.05),
+        (GdConfig(k=2, max_iters=45, seed=1, batch_size=10),
+         gd_module.GRAD_NORM_FLOOR),
     ], ids=["max_iters", "gradient_floor", "minibatch"])
-    def test_phase_times_per_step(self, cfg):
+    def test_phase_times_per_step(self, monkeypatch, cfg, floor):
+        monkeypatch.setattr(gd_module, "GRAD_NORM_FLOOR", floor)
         _, trace = fit(_golden_tomogram(), cfg)
         phases = (trace.pass_time_s, trace.cayley_time_s,
                   trace.tp_check_time_s)
