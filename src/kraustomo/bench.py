@@ -69,6 +69,10 @@ class SweepSpec:
             if not all(_count_in(n, 1) for n in self.values):
                 raise ValueError(f"timing values are qubit counts >= 1, "
                                  f"got {self.values}")
+            k, top = self.timing_kraus, 4 ** min(self.values)
+            if not _count_in(k, 1, top):
+                raise ValueError(f"a timing sweep's kraus[0] must be an "
+                                 f"integer in [1, {top}], got {k!r}")
             return
         if not _count_in(self.n_qubits, 1):
             raise ValueError(f"n_qubits must be an integer >= 1, "
@@ -80,6 +84,11 @@ class SweepSpec:
                 self.kraus and all(_count_in(k, 1, top) for k in self.kraus)):
             raise ValueError(f"a gd sweep needs a non-empty kraus list with "
                              f"entries in [1, {top}], got {self.kraus}")
+
+    @property
+    def timing_kraus(self):
+        """The Kraus count of a timing cell's fit: kraus[0], or 3."""
+        return self.kraus[0] if self.kraus else 3
 
     @classmethod
     def from_json(cls, path):
@@ -153,7 +162,7 @@ def _timing_cell(spec, idx, n, seed):
     process = random_process(2 ** n, 3, rng)
     tomogram = synthesize(process, ops, ops, spec.noise, rng, kind="dv",
                           seed=seed)
-    k = spec.kraus[0] if spec.kraus else 3
+    k = spec.timing_kraus
     _, trace = fit(tomogram, GdConfig(k=k, seed=seed, **spec.gd,
                                       batch_size=256, max_iters=6))
     # The first iteration runs cold (first allocations, cold caches); time

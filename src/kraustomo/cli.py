@@ -30,8 +30,10 @@ def _parse_grid(text):
     if len(parts) != 6:
         raise argparse.ArgumentTypeError(
             "grid must be re_min,re_max,im_min,im_max,rows,cols")
-    return cv.CvGrid(float(parts[0]), float(parts[1]), float(parts[2]),
-                     float(parts[3]), int(parts[4]), int(parts[5]))
+    try:
+        return cv.CvGrid(*map(float, parts[:4]), *map(int, parts[4:]))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _parse_phases(text):
@@ -147,8 +149,9 @@ def _reconstruct(args, tomogram):
         print(f"converged: {str(est.converged).lower()} "
               f"({est.cycles} projection cycles)")
     if args.out:
+        text = json.dumps(doc, allow_nan=False)  # strict JSON: no NaN token
         with open(args.out, "w") as fh:
-            fh.write(json.dumps(doc))
+            fh.write(text)
         print(f"wrote {args.out}")
     return EXIT_OK
 

@@ -44,27 +44,6 @@ def _as_complex(mat):
     return np.ascontiguousarray(np.asarray(mat, dtype=np.complex128))
 
 
-class DensityMatrix:
-    """An N x N Hermitian, unit-trace, PSD matrix (probe or output state)."""
-
-    def __init__(self, mat):
-        mat = _as_complex(mat)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got {mat.shape}")
-        _hermitian_stack(mat, "a density matrix", "rho")
-        tr = mat.trace()
-        if abs(tr - 1.0) > EXACT_TOL:
-            raise ValueError(f"trace is {tr}, expected 1")
-        lo = np.linalg.eigvalsh(mat)[0]
-        if lo < -EXACT_TOL:
-            raise ValueError(f"negative eigenvalue {lo:.3e}")
-        self.mat = mat
-
-    @property
-    def dim(self):
-        return self.mat.shape[0]
-
-
 class KrausStack:
     """An ordered set of k Kraus operators, also viewed as a kN x N stack.
 
@@ -247,20 +226,6 @@ def channel_expectations(blocks, states, observables):
                                  real_observables(observables))[0]
 
 
-def apply_kraus(kraus, rho):
-    """Apply the channel sum_l K_l rho K_l^dag to a density matrix.
-
-    Accepts a DensityMatrix or a raw N x N array for ``rho``; returns a raw
-    complex N x N array (for a TP stack it is again a valid state).
-    """
-    mat = rho.mat if isinstance(rho, DensityMatrix) else _as_complex(rho)
-    if kraus.dim != mat.shape[0]:
-        raise ValueError(f"dimension mismatch: Kraus dim {kraus.dim}, "
-                         f"state dim {mat.shape[0]}")
-    k = kraus.blocks
-    return np.matmul(k @ mat, k.conj().swapaxes(1, 2)).sum(axis=0)
-
-
 def kraus_to_choi(kraus):
     """Build the Choi matrix Phi = sum_l |K_l><K_l|.
 
@@ -270,16 +235,6 @@ def kraus_to_choi(kraus):
     n = kraus.dim
     vecs = kraus.blocks.transpose(0, 2, 1).reshape(kraus.count, n * n)
     return ChoiMatrix(np.einsum("la,lb->ab", vecs, vecs.conj()))
-
-
-def choi_apply(choi, rho):
-    """Apply a channel in Choi form: rho' = Tr_in[(rho^T (x) I) Phi]."""
-    mat = rho.mat if isinstance(rho, DensityMatrix) else _as_complex(rho)
-    n = choi.dim
-    if mat.shape[0] != n:
-        raise ValueError(f"dimension mismatch: Choi dim {n}, state dim {mat.shape[0]}")
-    phi = choi.mat.reshape(n, n, n, n)  # [in, out, in', out']
-    return np.einsum("ik,kaib->ab", mat.T, phi, optimize=True)
 
 
 def partial_trace_out(choi):

@@ -11,6 +11,8 @@ its largest |alpha|^2 exceeds N/4.
 
 from __future__ import annotations
 
+import math
+import numbers
 import warnings
 
 import numpy as np
@@ -27,12 +29,21 @@ class CvGrid:
     """A rectangular grid of complex phase-space points.
 
     Points are ordered row-major: index = r * cols + c, where r runs over
-    the real part and c over the imaginary part, endpoints included.
+    the real part and c over the imaginary part, endpoints included.  The
+    bounds must be finite reals and rows and cols integers >= 1 (NumPy
+    scalars included, bool and str not); ValueError otherwise.
     """
 
     def __init__(self, re_min, re_max, im_min, im_max, rows, cols):
-        if rows < 1 or cols < 1:
-            raise ValueError("grid must have at least one row and column")
+        bounds = (re_min, re_max, im_min, im_max)
+        if not all(isinstance(b, numbers.Real) and not isinstance(b, bool)
+                   and math.isfinite(b) for b in bounds):
+            raise ValueError(f"grid bounds must be finite real numbers, "
+                             f"got {bounds!r}")
+        if not all(isinstance(m, numbers.Integral) and not isinstance(m, bool)
+                   and m >= 1 for m in (rows, cols)):
+            raise ValueError(f"grid rows and cols must be integers, at "
+                             f"least one each; got {rows!r} and {cols!r}")
         self.re_min, self.re_max = float(re_min), float(re_max)
         self.im_min, self.im_max = float(im_min), float(im_max)
         self.rows, self.cols = int(rows), int(cols)

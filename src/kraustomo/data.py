@@ -275,8 +275,9 @@ def save(tomogram, path):
     if tomogram.truth is not None:
         doc["truth"] = {"kraus": [complex_to_json(k)
                                   for k in tomogram.truth.blocks]}
+    text = json.dumps(doc, allow_nan=False)     # strict JSON: no NaN token
     with open(path, "w") as fh:
-        fh.write(json.dumps(doc))
+        fh.write(text)
 
 
 def expect_object(value, what):

@@ -21,19 +21,6 @@ _KETS = np.array([[1, 1], [1, -1], [1, 1j], [1, -1j], [np.sqrt(2), 0],
                   [0, np.sqrt(2)]]) / np.sqrt(2)
 
 
-def pauli_label(index, n):
-    """The per-qubit label tuple of entry index in the lexicographic 6^n order."""
-    return tuple(PAULI_LABELS[d] for d in np.unravel_index(index, (6,) * n))
-
-
-def pauli_projector(labels):
-    """Tensor product of single-qubit eigenstate projectors for a label tuple."""
-    ket = np.array([1.0 + 0j])
-    for lab in labels:
-        ket = np.kron(ket, _KETS[PAULI_LABELS.index(lab)])
-    return np.outer(ket, ket.conj())
-
-
 def pauli_kets(n, indices=None):
     """Stacked (P, 2^n) kets for indices into the 6^n label order.
 
@@ -57,12 +44,6 @@ def pauli_kets(n, indices=None):
         kets = (kets[:, :, None] * _KETS[digit][:, None, :]).reshape(
             count, 2 * kets.shape[1])
     return kets
-
-
-def pauli_projectors(n, indices=None):
-    """Stacked (P, 2^n, 2^n) projectors |k><k| of :func:`pauli_kets`."""
-    kets = pauli_kets(n, indices)
-    return kets[:, :, None] * kets[:, None, :].conj()
 
 
 def random_unitary(dim, rng):

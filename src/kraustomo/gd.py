@@ -22,6 +22,7 @@ pairs without replacement and builds their terms once per step.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -196,6 +197,18 @@ def init_kraus(k, dim, rng):
     return KrausStack(blocks / np.sqrt(k))
 
 
+def _finite(value, what, it):
+    """value if it is finite; np.linalg.LinAlgError otherwise."""
+    if not math.isfinite(value):
+        raise np.linalg.LinAlgError(
+            f"{what} is {value} at iteration {it}: the data or lambda "
+            f"overflow the float range")
+    return value
+
+
+# Entered once per fit, not per step: every overflow or invalid operation
+# ends in a non-finite loss or gradient norm, which raises.
+@np.errstate(over="ignore", invalid="ignore")
 def fit(tomogram, cfg, init=None):
     """Reconstruct a Kraus stack from tomogram data.
 
@@ -218,6 +231,9 @@ def fit(tomogram, cfg, init=None):
     blocks of the tomogram's dimension.  The TP defect recorded after each
     step is the check the next step relies on: above 1e-8 or NaN, the fit
     raises np.linalg.LinAlgError, a numerical failure (a ValueError too).
+    So does a loss or gradient norm that is not finite, as when the data
+    or lam square past the float range, with no floating-point warning
+    on the way.
 
     Returns (KrausStack, FitTrace).
     """
@@ -250,12 +266,14 @@ def fit(tomogram, cfg, init=None):
                 np.divmod(flat, tomogram.num_measurements)))
         last = it == cfg.max_iters
         value, grad = _objective(stack, terms, cfg.lam, not last)
+        _finite(value, "the loss", it)
         if it:
             # value is the loss after the step taken in iteration it - 1
             trace.loss.append(value)
             if it % PLATEAU_WINDOW == 0:
-                full = (value if full_batch else
-                        _objective(stack, full_terms, cfg.lam, False)[0])
+                full = (value if full_batch else _finite(
+                    _objective(stack, full_terms, cfg.lam, False)[0],
+                    "the full loss", it))
                 trace.full_loss.append((it, full))
                 if prev_full is not None:
                     rel = abs(prev_full - full) / max(abs(full), 1e-300)
@@ -266,7 +284,7 @@ def fit(tomogram, cfg, init=None):
         if last:
             break
         t1 = time.perf_counter()
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = _finite(float(np.linalg.norm(grad)), "the gradient norm", it)
         if gnorm < GRAD_NORM_FLOOR:
             trace.stop_reason = "gradient_floor"
             break

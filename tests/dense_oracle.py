@@ -7,11 +7,23 @@ run one eigh per phase-space point, as the package did before
 :mod:`kraustomo.cv` shared one eigh among all the points of a call.  The
 process fidelity is the N^2 x N^2 sqrt(A) B sqrt(A) sandwich the package
 computed before it took the eigenvalues of the r x r matrix X^dag B X.
+
+The state wrapper, the two channel actions and the per-label Pauli
+projectors below are references the package does not run: its forward
+model, fits and CLI read kets and Kraus stacks only.  ``pauli_projector``
+builds from its own copy of the single-qubit ket table, so comparing it
+with :func:`kraustomo.dv.pauli_kets` checks one table against the other.
 """
 
 import numpy as np
 
+from kraustomo.core import EXACT_TOL, _as_complex, _hermitian_stack
 from kraustomo.cv import annihilation, snap
+from kraustomo.dv import PAULI_LABELS, pauli_kets
+
+# Single-qubit eigenstate kets, rows in PAULI_LABELS order (z rows exact).
+_KETS = np.array([[1, 1], [1, -1], [1, 1j], [1, -1j], [np.sqrt(2), 0],
+                  [0, np.sqrt(2)]]) / np.sqrt(2)
 
 
 def dense_expectations(blocks, states, observables):
@@ -97,3 +109,67 @@ def dense_process_fidelity(choi_a, choi_b):
     inner = ra @ b @ ra
     w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
     return float(np.sum(np.sqrt(np.clip(w, 0.0, None))))
+
+
+class DensityMatrix:
+    """An N x N Hermitian, unit-trace, PSD matrix (probe or output state)."""
+
+    def __init__(self, mat):
+        mat = _as_complex(mat)
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"density matrix must be square, got {mat.shape}")
+        _hermitian_stack(mat, "a density matrix", "rho")
+        tr = mat.trace()
+        if abs(tr - 1.0) > EXACT_TOL:
+            raise ValueError(f"trace is {tr}, expected 1")
+        lo = np.linalg.eigvalsh(mat)[0]
+        if lo < -EXACT_TOL:
+            raise ValueError(f"negative eigenvalue {lo:.3e}")
+        self.mat = mat
+
+    @property
+    def dim(self):
+        return self.mat.shape[0]
+
+
+def apply_kraus(kraus, rho):
+    """Apply the channel sum_l K_l rho K_l^dag to a density matrix.
+
+    Accepts a DensityMatrix or a raw N x N array for ``rho``; returns a raw
+    complex N x N array (for a TP stack it is again a valid state).
+    """
+    mat = rho.mat if isinstance(rho, DensityMatrix) else _as_complex(rho)
+    if kraus.dim != mat.shape[0]:
+        raise ValueError(f"dimension mismatch: Kraus dim {kraus.dim}, "
+                         f"state dim {mat.shape[0]}")
+    k = kraus.blocks
+    return np.matmul(k @ mat, k.conj().swapaxes(1, 2)).sum(axis=0)
+
+
+def choi_apply(choi, rho):
+    """Apply a channel in Choi form: rho' = Tr_in[(rho^T (x) I) Phi]."""
+    mat = rho.mat if isinstance(rho, DensityMatrix) else _as_complex(rho)
+    n = choi.dim
+    if mat.shape[0] != n:
+        raise ValueError(f"dimension mismatch: Choi dim {n}, state dim {mat.shape[0]}")
+    phi = choi.mat.reshape(n, n, n, n)  # [in, out, in', out']
+    return np.einsum("ik,kaib->ab", mat.T, phi, optimize=True)
+
+
+def pauli_label(index, n):
+    """The per-qubit label tuple of entry index in the lexicographic 6^n order."""
+    return tuple(PAULI_LABELS[d] for d in np.unravel_index(index, (6,) * n))
+
+
+def pauli_projector(labels):
+    """Tensor product of single-qubit eigenstate projectors for a label tuple."""
+    ket = np.array([1.0 + 0j])
+    for lab in labels:
+        ket = np.kron(ket, _KETS[PAULI_LABELS.index(lab)])
+    return np.outer(ket, ket.conj())
+
+
+def pauli_projectors(n, indices=None):
+    """Stacked (P, 2^n, 2^n) projectors |k><k| of :func:`pauli_kets`."""
+    kets = pauli_kets(n, indices)
+    return kets[:, :, None] * kets[:, None, :].conj()

@@ -15,14 +15,15 @@ from scipy.stats import spearmanr
 
 from kraustomo import cv
 from kraustomo.bench import SweepSpec, run_sweep
-from kraustomo.core import (KrausStack, apply_kraus, choi_apply,
-                            kraus_to_choi, process_fidelity, tp_defect)
-from kraustomo.data import sensing_matrix, subsample, synthesize
-from kraustomo.dv import pauli_projectors, random_process
+from kraustomo.core import (KrausStack, kraus_to_choi, process_fidelity,
+                            tp_defect)
+from kraustomo.data import subsample, synthesize
+from kraustomo.dv import random_process
 from kraustomo.gd import (GdConfig, cayley_step, fit, init_kraus, loss,
                           wirtinger_gradient)
 from kraustomo.pls import (InformationIncompleteError, fit_pls,
                            linear_inversion, project_cp, project_tp)
+from dense_oracle import apply_kraus, choi_apply, pauli_projectors
 
 pytestmark = pytest.mark.slow
 

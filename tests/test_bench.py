@@ -74,6 +74,17 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="qubit counts"):
             small_spec(sweep="timing", values=values)
 
+    @pytest.mark.parametrize("values, kraus, top", [
+        ([1], [5], 4), ([2, 1], [5, 1], 4), ([2], [17], 16), ([1], [0], 4),
+        ([1], [2.0], 4), ([1], [True], 4)])
+    def test_rejects_timing_kraus_out_of_range(self, values, kraus, top):
+        # kraus[0] is every timing cell's k, so the smallest value bounds it.
+        with pytest.raises(ValueError,
+                           match=rf"kraus\[0\] must be an integer in \[1, {top}\]"):
+            small_spec(sweep="timing", values=values, kraus=kraus)
+        assert small_spec(sweep="timing", values=values,
+                          kraus=[top, 99]).timing_kraus == top
+
     @pytest.mark.parametrize("sweep", ["noise", "gamma"])
     @pytest.mark.parametrize("fields, match", [
         ({"n_qubits": 0}, "n_qubits"), ({"n_qubits": 1.0}, "n_qubits"),

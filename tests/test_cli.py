@@ -18,6 +18,9 @@ from kraustomo.pls import cp_violation, tp_violation
 
 # 2 x 2 CV grids, cheaper than the 10 x 10 defaults.
 SMALL_GRIDS = ("--probe-grid=-1,1,-1,1,2,2", "--meas-grid=-1,1,-1,1,2,2")
+# A 2 x 3 grid descriptor, small enough for a cutoff of 2 (no warning).
+SIX_POINTS = {"re_min": -0.1, "re_max": 0.1, "im_min": -0.1, "im_max": 0.1,
+              "rows": 2, "cols": 3}
 
 
 @pytest.fixture()
@@ -82,6 +85,20 @@ class TestSynth:
             main(["synth", "--kind", "cv", "--probe-grid", "1,2,3",
                   "--out", str(tmp_path / "x.json")])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag", ["--probe-grid", "--meas-grid"])
+    @pytest.mark.parametrize("grid", ["nan,1,-1,1,2,2", "-1,inf,-1,1,2,2"])
+    def test_non_finite_grid_exits_2_silently(self, tmp_path, capsys, flag,
+                                              grid):
+        # Rejected while parsing, before any point is built: no warning.
+        out = tmp_path / "x.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["synth", "--kind", "cv", f"{flag}={grid}",
+                      "--out", str(out)])
+        assert exc.value.code == EXIT_USAGE and not out.exists()
+        assert f"{flag}: grid bounds must be finite" in capsys.readouterr().err
 
     def test_theta_phases(self, tmp_path, capsys):
         out = tmp_path / "cv.json"
@@ -372,6 +389,41 @@ class TestReconstruct:
         err = capsys.readouterr().err
         assert "tp_defect nan" in err and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("synth, fit_args", [
+        ((), ("--l1", "1e300", "--kraus", "2")),
+        (("--noise", "1e200"), ()),
+    ], ids=["l1-1e300", "noise-1e200"])
+    def test_overflowing_fit_exits_4(self, tmp_path, capsys, synth,
+                                     fit_args):
+        data_path, out = tmp_path / "dv.json", tmp_path / "est.json"
+        assert main(["synth", "--kind", "dv", "--qubits", "1", "--rank", "1",
+                     *synth, "--out", str(data_path)]) == EXIT_OK
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["reconstruct", "--method", "gd", "--data",
+                         str(data_path), *fit_args, "--out", str(out)])
+        assert code == EXIT_NUMERICAL and not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ")
+        assert "is inf" in err and len(err.splitlines()) == 1
+
+    def test_non_finite_output_is_not_written(self, dv_dataset, tmp_path,
+                                              capsys, monkeypatch):
+        # The writer is strict: a NaN token never reaches a file.
+        fit = gd.fit
+
+        def nan_trace_fit(*args):
+            est, trace = fit(*args)
+            trace.loss[-1] = float("nan")
+            return est, trace
+        monkeypatch.setattr(gd, "fit", nan_trace_fit)
+        out = tmp_path / "est.json"
+        code = main(["reconstruct", "--method", "gd", "--data",
+                     str(dv_dataset), "--iters", "3", "--out", str(out)])
+        assert code == EXIT_USAGE and not out.exists()
+        assert "JSON compliant" in capsys.readouterr().err
+
     def test_gd_trace_has_grad_norm_and_eta(self, dv_dataset, tmp_path):
         out = tmp_path / "est.json"
         code = main(["reconstruct", "--method", "gd", "--data",
@@ -426,6 +478,17 @@ class TestReconstruct:
         {"type": "pauli", "n_qubits": "1"},
         {"type": "pauli", "n_qubits": 2},
         {"type": "coherent_grid", "grid": {"rows": 3}},
+        # Six points, as many as the dataset has probes, so that only the
+        # malformed field can fail.
+        {"type": "coherent_grid", "grid": dict(SIX_POINTS, rows=2.7)},
+        {"type": "coherent_grid", "grid": dict(SIX_POINTS, cols=3.0)},
+        {"type": "coherent_grid", "grid": dict(SIX_POINTS, rows=True,
+                                                cols=6)},
+        {"type": "coherent_grid", "grid": dict(SIX_POINTS, re_min="-0.1")},
+        {"type": "coherent_grid", "grid": dict(SIX_POINTS,
+                                                re_min=float("nan"))},
+        {"type": "coherent_grid", "grid": dict(SIX_POINTS,
+                                                im_max=float("inf"))},
     ])
     def test_crafted_descriptor_exits_2(self, dv_dataset, capsys, probes):
         doc = json.loads(dv_dataset.read_text())
@@ -628,6 +691,8 @@ class TestBenchmarkCommand:
         ({"sweep": "noise", "values": [1e-2], "seeds": [0],
           "gd": {"bogus": 1}}, "bogus"),
         ({"sweep": "timing", "values": [0], "seeds": [0]}, "qubit counts"),
+        ({"sweep": "timing", "values": [1], "seeds": [0], "kraus": [5]},
+         "kraus[0] must be an integer in [1, 4]"),
     ])
     def test_bad_spec_exits_2(self, tmp_path, capsys, monkeypatch, doc,
                               match):

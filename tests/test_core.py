@@ -6,15 +6,15 @@ import pytest
 
 import kraustomo
 from kraustomo import bench, cli, core, cv
-from kraustomo.core import (ChoiMatrix, DensityMatrix, KrausStack,
-                            apply_kraus, choi_apply, kraus_to_choi,
+from kraustomo.core import (ChoiMatrix, KrausStack, kraus_to_choi,
                             partial_trace_out, process_fidelity, tp_defect)
 from kraustomo.data import SCHEMA_VERSION, complex_to_json, synthesize
 from kraustomo.dv import pauli_kets, random_process, random_unitary
 from kraustomo.gd import GdConfig, fit
 from kraustomo.pls import fit_pls
 
-from dense_oracle import dense_process_fidelity
+from dense_oracle import (DensityMatrix, apply_kraus, choi_apply,
+                          dense_process_fidelity)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)

@@ -3,13 +3,13 @@ import warnings
 import numpy as np
 import pytest
 
-from kraustomo.core import DensityMatrix
 from kraustomo.cv import (DEFAULT_ALPHA, DEFAULT_PHASES, CvGrid, annihilation,
                           coherent_ket, displaced_parity, displacement,
                           measurement_grid, probe_grid, snap,
                           snap_displace_process)
-from dense_oracle import (coherent_kets_per_point, displaced_parities_per_point,
-                          displacement_per_point, snap_displace_per_point)
+from dense_oracle import (DensityMatrix, coherent_kets_per_point,
+                          displaced_parities_per_point, displacement_per_point,
+                          snap_displace_per_point)
 
 
 class TestCvGrid:
@@ -36,6 +36,21 @@ class TestCvGrid:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
             CvGrid(0, 1, 0, 1, 0, 5)
+
+    @pytest.mark.parametrize("args, match", [
+        ((np.nan, 1, 0, 1, 2, 2), "finite"), ((0, np.inf, 0, 1, 2, 2), "finite"),
+        (("0", 1, 0, 1, 2, 2), "finite"), ((0, 1, True, 1, 2, 2), "finite"),
+        ((0, 1, 0, 1, 2.7, 2), "integers"), ((0, 1, 0, 1, 2, 2.0), "integers"),
+        ((0, 1, 0, 1, True, 2), "integers"), ((0, 1, 0, 1, "2", 2), "integers")])
+    def test_rejects_malformed_fields(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            CvGrid(*args)
+
+    def test_numpy_scalars_pass(self):
+        grid = CvGrid(np.float64(-1), np.float32(1), np.int64(-1), 1,
+                      np.int32(2), np.int64(3))
+        assert grid.to_dict() == CvGrid(-1, 1, -1, 1, 2, 3).to_dict()
+        assert type(grid.rows) is int and type(grid.re_max) is float
 
 
 class TestAnnihilation:

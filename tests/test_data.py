@@ -20,10 +20,10 @@ from kraustomo.data import (SchemaError, Tomogram, complex_from_json,
                             complex_to_json, export_csv, load,
                             materialize_probes, save, sensing_matrix,
                             subsample, synthesize)
-from kraustomo.dv import pauli_projector, pauli_projectors, random_process
+from kraustomo.dv import random_process
 from dense_oracle import (coherent_kets_per_point, dense_expectations,
-                          displaced_parities_per_point,
-                          snap_displace_per_point)
+                          displaced_parities_per_point, pauli_projector,
+                          pauli_projectors, snap_displace_per_point)
 
 
 @pytest.fixture(scope="module")

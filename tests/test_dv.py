@@ -3,10 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from kraustomo.core import DensityMatrix, apply_kraus, tp_defect
-from kraustomo.dv import (PAULI_LABELS, pauli_kets, pauli_label,
-                          pauli_projector, pauli_projectors, random_process,
+from kraustomo.core import tp_defect
+from kraustomo.dv import (PAULI_LABELS, pauli_kets, random_process,
                           random_unitary)
+from dense_oracle import (DensityMatrix, apply_kraus, pauli_label,
+                          pauli_projector, pauli_projectors)
 
 
 class TestPauliProjector:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from dense_oracle import dense_expectations, dense_value_and_grad
+from dense_oracle import (dense_expectations, dense_value_and_grad,
+                          pauli_projectors)
 from kraustomo import cv
 from kraustomo import data as data_module
 from kraustomo.cli import EXIT_USAGE, main
@@ -13,7 +14,7 @@ from kraustomo.core import (factor_states, factored_expectations,
                             factored_pullback, probe_terms, real_observables)
 from kraustomo.data import (complex_to_json, load, materialize_probes, save,
                             subsample, synthesize)
-from kraustomo.dv import pauli_projectors, random_process
+from kraustomo.dv import random_process
 from kraustomo.gd import init_kraus, value_and_grad
 
 RTOL = 1e-12

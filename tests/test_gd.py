@@ -1,12 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from kraustomo import gd as gd_module
 from kraustomo.core import KrausStack, tp_defect
 from kraustomo.data import synthesize
-from kraustomo.dv import pauli_kets, pauli_projectors, random_process
+from kraustomo.dv import pauli_kets, random_process
 from kraustomo.gd import (FitTrace, GdConfig, cayley_step, fit, init_kraus,
                           loss, value_and_grad, wirtinger_gradient)
+from dense_oracle import pauli_projectors
 
 
 @pytest.fixture(scope="module")
@@ -462,6 +465,27 @@ class TestFitStops:
                             lambda stack, grad, eta: np.nan * stack)
         with pytest.raises(ValueError, match="tp_defect nan"):
             fit(_golden_tomogram(), GdConfig(k=2, max_iters=5, seed=1))
+
+    @pytest.mark.parametrize("lam, entries, batch_size, seed, match", [
+        (1e300, None, None, 1, "the gradient norm is inf at iteration 0"),
+        (1e-3, np.s_[:], None, 1, "the loss is inf at iteration 0"),
+        (1e-3, np.s_[:], 10, 1, "the loss is inf at iteration 0"),
+        # Entry (0, 0) is in none of seed 2's first 20 one-pair batches.
+        (1e-3, np.s_[0, 0], 1, 2, "the full loss is inf at iteration 20")])
+    def test_overflow_raises_without_warning(self, lam, entries, batch_size,
+                                             seed, match):
+        # Data or lam past the float range: a numerical failure, not a
+        # fit that steps by grad / inf = 0 and records inf.
+        tomogram = _golden_tomogram()
+        if entries is not None:
+            tomogram.data[entries] = 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match=match):
+                fit(tomogram, GdConfig(k=2, lam=lam, max_iters=25, seed=seed,
+                                       batch_size=batch_size))
+        # The fit's error state does not outlive it.
+        assert np.geterr()["over"] != "ignore"
 
     @pytest.mark.parametrize("cfg, floor", [
         (GdConfig(k=2, max_iters=12, seed=1, eta0=0.3, decay=0.9),

@@ -3,11 +3,12 @@ import pytest
 
 from kraustomo.core import ChoiMatrix, kraus_to_choi, process_fidelity
 from kraustomo.data import sensing_matrix, subsample, synthesize
-from kraustomo.dv import pauli_projectors, random_process
+from kraustomo.dv import random_process
 from kraustomo.pls import (InformationIncompleteError, PlsConfig,
                            cp_violation, fit_pls, linear_inversion,
                            project_cp, project_cptp, project_tp,
                            tp_violation)
+from dense_oracle import pauli_projectors
 
 
 @pytest.fixture(scope="module")
