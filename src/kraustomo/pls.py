@@ -7,9 +7,10 @@ factors as P^T (pinv R (x) pinv M) (Surawy-Stepney et al., Quantum 6,
 844 (2022)); R is the flattened probe stack and M the conjugated,
 flattened measurement stack, both from the tomogram's dense views.  The
 dense S (``data.sensing_matrix``) is never built; it remains only as a
-reference oracle.  The estimate is then projected onto the CPTP set with
-Dykstra's alternating projections between the PSD cone (CP) and the TP
-affine subspace.
+reference oracle.  The estimate C is projected onto the CPTP set by
+Dykstra's projections between the PSD cone (CP) and the TP subspace, as
+ascent on the dual X(Y) = [C + Y (x) I]_+ (Knee et al., PRA 98, 062336
+(2018)); the result is exactly CP and TP to the stopping tolerance.
 """
 
 from __future__ import annotations
@@ -102,30 +103,33 @@ def cp_violation(choi):
     return float(max(0.0, -w[0]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def project_cptp(choi, cfg=None):
     """Project onto the CPTP set with Dykstra's alternating projections.
 
-    Only the CP step needs a correction term: the TP set is affine, and
-    project_tp discards the X (x) I terms a TP correction would add.
-    Stops when the Frobenius change per cycle drops below dykstra_tol;
-    past dykstra_max_iters the last iterate is returned flagged
-    non-converged.
+    The TP step only adds terms Y (x) I, so every CP step's input is
+    C + Y (x) I and the loop carries one N x N Y: a cycle is X =
+    [C + Y (x) I]_+ and Y += (I - Tr_out X) / N.  Stops when
+    ||I - Tr_out X||_F < dykstra_tol and returns X, which is PSD; past
+    dykstra_max_iters the last X is returned flagged non-converged.  An
+    overflow ends in a non-finite violation: np.linalg.LinAlgError.
     """
     cfg = cfg or PlsConfig()
-    x = ChoiMatrix(0.5 * (choi.mat + choi.mat.conj().T))
-    p = np.zeros_like(x.mat)
-    cycles = 0
-    converged = False
+    n = choi.dim
+    c = 0.5 * (choi.mat + choi.mat.conj().T)
+    eye = np.eye(n)
+    y = np.zeros((n, n), dtype=complex)
     for cycles in range(1, cfg.dykstra_max_iters + 1):
-        y = project_cp(ChoiMatrix(x.mat + p))
-        p = x.mat + p - y.mat
-        x_new = project_tp(y)
-        delta = float(np.linalg.norm(x_new.mat - x.mat))
-        x = x_new
-        if delta < cfg.dykstra_tol:
-            converged = True
-            break
-    return PlsResult(x, converged, cycles)
+        x = project_cp(ChoiMatrix(c + np.kron(y, eye)))
+        gap = eye - partial_trace_out(x)
+        violation = float(np.linalg.norm(gap))
+        if not np.isfinite(violation):
+            raise np.linalg.LinAlgError(
+                f"projection cycle {cycles}: TP violation is {violation}")
+        if violation < cfg.dykstra_tol:
+            return PlsResult(x, True, cycles)
+        y += gap / n
+    return PlsResult(x, False, cycles)
 
 
 def fit_pls(tomogram, cfg=None):
