@@ -51,10 +51,14 @@ def _parse_seed(text):
 def _claimed(*paths):
     """Check that each given path is writable before any work is done.
 
-    An unwritable path fails here.  A path that exists is opened in append
-    mode and left as it is until the result replaces it; one that does not
-    is created, and removed again if the command then fails.
+    Two paths that resolve to one file, or an unwritable path, fail here.
+    A path that exists is opened in append mode and left as it is until
+    the result replaces it; one that does not is created, and removed
+    again if the command then fails.
     """
+    real = [os.path.realpath(path) for path in paths if path]
+    if len(set(real)) < len(real):
+        raise ValueError(f"{' and '.join(filter(None, paths))} name one file")
     created = []
     try:
         for path in filter(None, paths):
@@ -99,7 +103,8 @@ def _synth(args):
     # Built (and validated) before the target, whose cost grows with dim.
     probes = data.materialize_probes(probe_spec, dim)
     meas = data.materialize_probes(meas_spec, dim)
-    process = (dv.random_process(dim, args.rank, rng) if args.kind == "dv"
+    rank = min(16, dim * dim) if args.rank is None else args.rank
+    process = (dv.random_process(dim, rank, rng) if args.kind == "dv"
                else cv.snap_displace_process(args.alpha, args.theta, dim))
     tomogram = data.synthesize(process, probes, meas, args.noise, rng,
                                kind=args.kind, seed=args.seed,
@@ -205,7 +210,7 @@ def build_parser():
     p = sub.add_parser("synth", help="synthesize a tomogram dataset")
     p.add_argument("--kind", choices=["dv", "cv"], required=True)
     p.add_argument("--qubits", type=int, default=2)
-    p.add_argument("--rank", type=int, default=16)
+    p.add_argument("--rank", type=int, help="default min(16, 4**qubits)")
     p.add_argument("--dim", type=int, default=cv.DEFAULT_CUTOFF)
     p.add_argument("--alpha", type=float, default=cv.DEFAULT_ALPHA)
     p.add_argument("--theta", type=_parse_phases, default=cv.DEFAULT_PHASES,

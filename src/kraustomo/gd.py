@@ -16,8 +16,10 @@ the raw kN x N stack with :func:`core.probe_terms` built once per fit, so
 a full-batch iteration builds none; a minibatch fit draws its (i, j)
 pairs without replacement and builds their terms once per step.
 
-:class:`GdConfig` holds only what a caller sets; the stop rule of
-:func:`fit` is fixed by the module constants below.
+:class:`GdConfig` holds only what a caller sets.  :func:`fit` stops after
+max_iters steps, or earlier at a gradient norm below GRAD_NORM_FLOOR,
+where the normalized step grad / |grad| is undefined; it has no
+convergence test.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .dv import random_unitary
 
 _SIGN_EPS = 1e-15
 GRAD_NORM_FLOOR = 1e-12
-PLATEAU_TOL = 1e-10
-PLATEAU_WINDOW = 20
 
 
 @dataclass
@@ -76,8 +76,11 @@ class FitTrace:
     Entry t of grad_norm, eta, tp_defect and the times belongs to step t:
     the norm of the gradient it followed, its step size eta0 * decay^t, the
     TP defect after it and its wall time, split into three phases that add
-    up to no more than iter_time_s: the loss and gradient pass (with the
-    plateau check), the normalized Cayley step and the TP check.
+    up to no more than iter_time_s: the loss and gradient pass, the
+    normalized Cayley step and the TP check.  loss[t] is the loss after
+    step t; after max_iters steps, loss[-1] is the full-data loss of the
+    returned stack, in minibatch mode too.  stop_reason is "max_iters" or
+    "gradient_floor".
     """
 
     loss: list = field(default_factory=list)
@@ -88,7 +91,6 @@ class FitTrace:
     pass_time_s: list = field(default_factory=list)
     cayley_time_s: list = field(default_factory=list)
     tp_check_time_s: list = field(default_factory=list)
-    full_loss: list = field(default_factory=list)   # (iteration, value) pairs
     n_iters: int = 0
     stop_reason: str = "max_iters"
 
@@ -213,18 +215,18 @@ def fit(tomogram, cfg, init=None):
     """Reconstruct a Kraus stack from tomogram data.
 
     Iterates normalized-gradient Cayley steps with a decaying learning
-    rate until max_iters, a gradient norm below GRAD_NORM_FLOOR, or a loss
-    plateau (relative change of the full-batch loss below PLATEAU_TOL
-    between evaluations spaced PLATEAU_WINDOW iterations apart).
+    rate for max_iters steps, or until a gradient norm below
+    GRAD_NORM_FLOOR leaves no direction to normalize.
 
     Each iteration makes one forward pass (:func:`value_and_grad`) at the
-    current stack: its value, the loss after the previous step, is recorded
-    and plateau-checked there, and its gradient drives the next step; one
-    value-only pass closes the trace.  ``trace.loss[t]`` is the loss after
-    step t on the batch of step t + 1 (the full loss in full batch).  With
-    cfg.batch_size below the entry count, each pass draws batch_size
-    distinct (i, j) pairs uniformly.  The loop runs on the raw kN x N
-    stack; only the result is wrapped.
+    current stack: its value, the loss after the previous step, is
+    recorded, and its gradient drives the next step; one value-only pass
+    on the full data closes the trace.  ``trace.loss[t]`` is the loss
+    after step t on the batch of step t + 1; it is on the full data in
+    full batch and after the last of max_iters steps.  With
+    cfg.batch_size below the entry count, each step's pass draws
+    batch_size distinct (i, j) pairs uniformly.  The loop runs on the raw
+    kN x N stack; only the result is wrapped.
 
     cfg.k above N^2, the largest Choi rank, raises ValueError.  ``init``
     overrides the random starting point; it must be a TP stack with cfg.k
@@ -255,32 +257,20 @@ def fit(tomogram, cfg, init=None):
                   or cfg.batch_size >= tomogram.num_entries)
     full_terms = _terms(tomogram, None)
     eta = cfg.eta0
-    prev_full = None
     for it in range(cfg.max_iters + 1):
         t0 = time.perf_counter()
+        last = it == cfg.max_iters
         terms = full_terms
-        if not full_batch:
+        if not (full_batch or last):
             flat = rng.choice(tomogram.num_entries, cfg.batch_size,
                               replace=False)
             terms = _terms(tomogram, np.column_stack(
                 np.divmod(flat, tomogram.num_measurements)))
-        last = it == cfg.max_iters
         value, grad = _objective(stack, terms, cfg.lam, not last)
         _finite(value, "the loss", it)
         if it:
             # value is the loss after the step taken in iteration it - 1
             trace.loss.append(value)
-            if it % PLATEAU_WINDOW == 0:
-                full = (value if full_batch else _finite(
-                    _objective(stack, full_terms, cfg.lam, False)[0],
-                    "the full loss", it))
-                trace.full_loss.append((it, full))
-                if prev_full is not None:
-                    rel = abs(prev_full - full) / max(abs(full), 1e-300)
-                    if rel < PLATEAU_TOL:
-                        trace.stop_reason = "plateau"
-                        break
-                prev_full = full
         if last:
             break
         t1 = time.perf_counter()

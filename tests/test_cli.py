@@ -243,6 +243,21 @@ class TestSynth:
         assert out.read_text() == "previous"
         assert csv.read_text() == "previous csv"
 
+    @pytest.mark.parametrize("qubits, rank", [("1", 4), ("2", 16)])
+    def test_default_rank_fits_the_qubit_count(self, tmp_path, qubits, rank):
+        # min(16, 4**qubits): one qubit takes the full Choi rank 4.
+        out = tmp_path / "d.json"
+        assert main(["synth", "--kind", "dv", "--qubits", qubits,
+                     "--out", str(out)]) == EXIT_OK
+        assert load(out).truth.count == rank
+
+    def test_explicit_rank_above_the_bound_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "d.json"
+        assert main(["synth", "--kind", "dv", "--qubits", "1", "--rank",
+                     "16", "--out", str(out)]) == EXIT_USAGE
+        assert "rank must be in [1, 4], got 16" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReconstruct:
     def test_gd_round_trip(self, dv_dataset, tmp_path, capsys):
@@ -455,8 +470,6 @@ class TestReconstruct:
         assert set(trace) == {f.name for f in dataclasses.fields(gd.FitTrace)}
         # Written as the dataclass's own fields, equal to its deep copy.
         assert trace == json.loads(json.dumps(dataclasses.asdict(fits[0][1])))
-        # One full-batch plateau check, every plateau_window = 20 steps.
-        assert trace["full_loss"] == [[20, trace["loss"][19]]]
 
     def test_kraus_above_the_choi_rank_exits_2(self, dv_dataset, tmp_path,
                                                capsys):
@@ -757,3 +770,27 @@ class TestBenchmarkCommand:
                      "--out-json", str(tmp_path / "s.json")])
         assert code == EXIT_USAGE
         assert "absent.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alias", ["same", "dotted"])
+@pytest.mark.parametrize("command", ["synth", "benchmark"])
+def test_two_outputs_naming_one_file_exit_2(tmp_path, capsys, command,
+                                            alias):
+    # Either output would overwrite the other: refused before any file is
+    # created or any work is done.
+    path = tmp_path / "out"
+    other = str(path) if alias == "same" else f"{tmp_path}/./out"
+    if command == "synth":
+        argv = ["synth", "--kind", "dv", "--qubits", "1",
+                "--out", str(path), "--csv", other]
+    else:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"sweep": "noise", "values": [1e-2],
+                                    "seeds": [0], "n_qubits": 1, "rank": 2,
+                                    "kraus": [2], "gd": {"max_iters": 5}}))
+        argv = ["benchmark", "--spec", str(spec), "--out-csv", str(path),
+                "--out-json", other]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "name one file" in err and len(err.splitlines()) == 1
+    assert not path.exists()

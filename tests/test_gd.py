@@ -294,13 +294,12 @@ class TestFit:
     def test_minibatch_mode(self, ensemble, rng):
         process = random_process(2, 2, rng)
         tomogram = synthesize(process, ensemble, ensemble, 1e-2, rng)
+        init = init_kraus(2, 2, rng)
         cfg = GdConfig(k=2, max_iters=60, batch_size=8, seed=3)
-        est, trace = fit(tomogram, cfg)
+        est, trace = fit(tomogram, cfg, init=init)
         assert trace.n_iters == 60
         assert tp_defect(est) <= 1e-8
-        full_start = trace.full_loss[0][1]
-        full_end = trace.full_loss[-1][1]
-        assert full_end < full_start
+        assert trace.loss[-1] < loss(init, tomogram, None, cfg.lam)
 
     def test_deterministic_given_config(self, ensemble, rng):
         process = random_process(2, 2, rng)
@@ -346,7 +345,7 @@ class TestBatches:
                                         two_qubit_tomogram):
         batches = self.drawn(monkeypatch, two_qubit_tomogram, GdConfig(
             k=2, max_iters=3, batch_size=256, seed=0))
-        assert len(batches) == 4            # three steps, one closing pass
+        assert len(batches) == 3     # three steps; the closing pass is full
         for batch in batches:
             assert batch.shape == (256, 2)
             assert len({(i, j) for i, j in batch}) == 256
@@ -376,28 +375,14 @@ class TestFitStops:
         tomogram = _golden_tomogram()
         est, trace = fit(tomogram, GdConfig(k=2, max_iters=30, seed=1))
         assert trace.loss[-1] == loss(est, tomogram, None, 1e-3)
-        assert trace.full_loss[-1] == (20, trace.loss[19])
 
-    def test_plateau(self, monkeypatch):
-        monkeypatch.setattr(gd_module, "PLATEAU_TOL", 1e-2)
+    def test_minibatch_trace_ends_with_full_data_loss(self):
+        # The closing pass scores the returned stack on every entry.
         tomogram = _golden_tomogram()
-        _, trace = fit(tomogram, GdConfig(k=2, max_iters=400, seed=1))
-        assert trace.stop_reason == "plateau"
-        assert trace.n_iters == 100
-        assert len(trace.loss) == len(trace.tp_defect) == 100
-        assert [it for it, _ in trace.full_loss] == [20, 40, 60, 80, 100]
-        assert trace.full_loss[-1][1] == trace.loss[-1]
-
-    def test_plateau_on_the_last_iteration(self, monkeypatch):
-        # The plateau check after the final step runs in the closing
-        # value-only pass.
-        monkeypatch.setattr(gd_module, "PLATEAU_TOL", 1e-2)
-        tomogram = _golden_tomogram()
-        _, trace = fit(tomogram, GdConfig(k=2, max_iters=100, seed=1))
-        assert trace.stop_reason == "plateau"
-        assert trace.n_iters == 100
-        assert len(trace.loss) == 100
-        assert [it for it, _ in trace.full_loss] == [20, 40, 60, 80, 100]
+        cfg = GdConfig(k=2, max_iters=30, seed=1, batch_size=10)
+        est, trace = fit(tomogram, cfg)
+        assert len(trace.loss) == trace.n_iters == 30
+        assert trace.loss[-1] == loss(est, tomogram, None, cfg.lam)
 
     def test_gradient_floor(self, monkeypatch):
         monkeypatch.setattr(gd_module, "GRAD_NORM_FLOOR", 0.05)
@@ -406,7 +391,6 @@ class TestFitStops:
         assert trace.stop_reason == "gradient_floor"
         assert trace.n_iters == 26
         assert len(trace.loss) == len(trace.tp_defect) == 26
-        assert [it for it, _ in trace.full_loss] == [20]
 
     def test_one_forward_pass_per_iteration(self, monkeypatch):
         # 30 passes that also pull the gradient back, and one value-only
@@ -429,8 +413,8 @@ class TestFitStops:
     @pytest.mark.parametrize("batch_size", [None, 10],
                              ids=["full-batch", "minibatch"])
     def test_probe_terms_built_once_per_set(self, monkeypatch, batch_size):
-        # Full batch: one set per fit.  Minibatch: one per pass (n_iters
-        # steps and the closing pass) and the full set for plateau checks.
+        # Full batch: one set per fit.  Minibatch: one per step and the
+        # full set, which the closing pass scores.
         calls = []
         original = gd_module.probe_terms
 
@@ -441,7 +425,7 @@ class TestFitStops:
         _, trace = fit(_golden_tomogram(), GdConfig(
             k=2, max_iters=30, seed=1, batch_size=batch_size))
         assert trace.n_iters == 30
-        assert len(calls) == (1 if batch_size is None else 32)
+        assert len(calls) == (1 if batch_size is None else 31)
 
     def test_one_tp_defect_per_iteration(self, monkeypatch):
         import kraustomo.gd as gd_module
@@ -470,8 +454,9 @@ class TestFitStops:
         (1e300, None, None, 1, "the gradient norm is inf at iteration 0"),
         (1e-3, np.s_[:], None, 1, "the loss is inf at iteration 0"),
         (1e-3, np.s_[:], 10, 1, "the loss is inf at iteration 0"),
-        # Entry (0, 0) is in none of seed 2's first 20 one-pair batches.
-        (1e-3, np.s_[0, 0], 1, 2, "the full loss is inf at iteration 20")])
+        # Entry (0, 0) is in none of seed 2's 25 one-pair batches: the
+        # closing pass on the full data finds it.
+        (1e-3, np.s_[0, 0], 1, 2, "the loss is inf at iteration 25")])
     def test_overflow_raises_without_warning(self, lam, entries, batch_size,
                                              seed, match):
         # Data or lam past the float range: a numerical failure, not a
@@ -529,7 +514,7 @@ class TestFitStops:
         tomogram = _golden_tomogram()
         _, trace = fit(tomogram, GdConfig(k=2, max_iters=0, seed=1))
         assert trace.n_iters == 0
-        assert trace.loss == [] and trace.full_loss == []
+        assert trace.loss == []
         assert trace.grad_norm == [] and trace.eta == []
         assert trace.pass_time_s == trace.cayley_time_s == []
         assert trace.stop_reason == "max_iters"
