@@ -267,7 +267,9 @@ def fit(tomogram, cfg, init=None):
             terms = _terms(tomogram, np.column_stack(
                 np.divmod(flat, tomogram.num_measurements)))
         value, grad = _objective(stack, terms, cfg.lam, not last)
-        _finite(value, "the loss", it)
+        # A minibatch fit's step losses cover a batch; its last, the data.
+        _finite(value, "the loss" if full_batch or not last
+                else "the full loss", it)
         if it:
             # value is the loss after the step taken in iteration it - 1
             trace.loss.append(value)

@@ -456,7 +456,7 @@ class TestFitStops:
         (1e-3, np.s_[:], 10, 1, "the loss is inf at iteration 0"),
         # Entry (0, 0) is in none of seed 2's 25 one-pair batches: the
         # closing pass on the full data finds it.
-        (1e-3, np.s_[0, 0], 1, 2, "the loss is inf at iteration 25")])
+        (1e-3, np.s_[0, 0], 1, 2, "the full loss is inf at iteration 25")])
     def test_overflow_raises_without_warning(self, lam, entries, batch_size,
                                              seed, match):
         # Data or lam past the float range: a numerical failure, not a
