@@ -22,11 +22,10 @@ probe rows with the Kraus blocks, laid out (P, N, k R).  It reads the
 probes only as their :func:`probe_terms`, built once per set of probes.
 
 Process fidelity (:func:`process_fidelity`) takes either form, Kraus
-stack or Choi matrix, for each side.  A Kraus side is its own factor
-(its stacked |K_l>), so a call with one runs no N^2 x N^2 eigh and builds
-no Choi matrix; two Kraus sides take the singular values of a k_a x k_b
-overlap matrix.  Two Choi sides take one eigh of the first and the
-eigenvalues of an r x r matrix, r its numerical rank.  No matrix square
+stack or Choi matrix, for each side, and has one formula: the nuclear
+norm of the overlap X^dag Y of the two sides' factors.  A Kraus side is
+its own factor (its stacked |K_l>), so it runs no N^2 x N^2 eigh and
+builds no Choi matrix; a Choi side costs one eigh.  No matrix square
 root is formed.
 """
 
@@ -258,7 +257,8 @@ def _psd_rank(w, n, what):
     if np.min(w, initial=0.0) < -VALID_TOL:
         raise ValueError(f"{what} is not PSD: eigenvalue {w[0]:.3e} "
                          f"below -{VALID_TOL:.0e}")
-    return w > w[-1:] * n * n * np.finfo(float).eps
+    # N^2 eps first: max w * N^2 overflows when the trace does.
+    return w > w[-1:] * (n * n * np.finfo(float).eps)
 
 
 def _factor(channel, n):
@@ -273,22 +273,17 @@ def _factor(channel, n):
     return v[:, keep] * np.sqrt(w[keep])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def process_fidelity(choi_a, choi_b):
     """Fidelity F = Tr sqrt(sqrt(A) B sqrt(A)) of two channels, each given as
     a KrausStack or a ChoiMatrix.
 
     A and B are the Choi matrices divided by N (unit trace for TP
-    channels).  F = sum sqrt(lambda) over the eigenvalues lambda of
-    X^dag B X above :func:`_psd_rank`'s cut, with A = X X^dag from
-    :func:`_factor`: the nonzero eigenvalues of sqrt(A) B sqrt(A).  F is
-    symmetric, so a Kraus side is the one factored: X is then its stacked
-    |K_l> / sqrt(N), and no N^2 x N^2 eigh runs.  When B is a Kraus stack
-    too, with factor Y, the lambda are the squared singular values of
-    X^dag Y, so F is its nuclear norm (Uhlmann) less the values below the
-    cut.  The eigenvalue noise of a rank-deficient side is cut, not
-    square-rooted, and every form cuts alike, so the forms agree to
-    ~1e-12.  A non-finite entry raises ValueError.  Returns a
-    ProcessMetric with F clamped to [0, 1].
+    channels).  With A = X X^dag and B = Y Y^dag from :func:`_factor`, F
+    is the nuclear norm of X^dag Y (Uhlmann), the sum of its singular
+    values, whatever the forms; it is symmetric in its arguments.  A
+    non-finite entry raises ValueError, and a norm that overflows
+    np.linalg.LinAlgError.  Returns a ProcessMetric with F capped at 1.
     """
     if choi_a.dim != choi_b.dim:
         raise ValueError(f"dimension mismatch: {choi_a.dim} vs {choi_b.dim}")
@@ -296,17 +291,10 @@ def process_fidelity(choi_a, choi_b):
         mat = side.blocks if isinstance(side, KrausStack) else side.mat
         if not np.isfinite(mat).all():
             raise ValueError("channel entries must be finite")
-    if isinstance(choi_b, KrausStack) and not isinstance(choi_a, KrausStack):
-        choi_a, choi_b = choi_b, choi_a
     n = choi_a.dim
-    x = _factor(choi_a, n)
-    if isinstance(choi_b, KrausStack):
-        # X^dag B X = C C^dag for C = X^dag Y, so its eigenvalues are the
-        # squared singular values of C; C C^dag is never formed.
-        c = x.conj().T @ _factor(choi_b, n)
-        lam = np.linalg.svd(c, compute_uv=False)[::-1] ** 2
-    else:
-        b = 0.5 * (choi_b.mat + choi_b.mat.conj().T) / n
-        lam = np.linalg.eigvalsh(x.conj().T @ b @ x)
-    fid = float(np.sum(np.sqrt(lam[_psd_rank(lam, n, "inner matrix")])))
-    return ProcessMetric(min(max(fid, 0.0), 1.0))
+    overlap = _factor(choi_a, n).conj().T @ _factor(choi_b, n)
+    fid = float(np.linalg.svd(overlap, compute_uv=False).sum())
+    if not np.isfinite(fid):
+        raise np.linalg.LinAlgError(f"process fidelity is {fid}: the "
+                                    f"channels overflow")
+    return ProcessMetric(min(fid, 1.0))

@@ -93,10 +93,12 @@ def _polar_parts(alpha, dim):
     before the truncation warning."""
     a = annihilation(dim)
     alpha = np.asarray(alpha, dtype=complex)
-    big = np.max(np.abs(alpha), initial=0.0)
-    if big ** 2 > dim / 4:
+    # Compared unsquared, and squared for the message as a Python float,
+    # which overflows to inf without a warning.
+    big = float(np.max(np.abs(alpha), initial=0.0))
+    if big > np.sqrt(dim / 4):
         warnings.warn(
-            f"|alpha|^2 = {big**2:.2f} is large for cutoff {dim}; "
+            f"|alpha|^2 = {big * big:.2f} is large for cutoff {dim}; "
             f"truncation errors may be significant", stacklevel=3)
     w, v = np.linalg.eigh(1j * (a.conj().T - a))
     e = np.exp(-1j * np.abs(alpha)[..., None] * w)

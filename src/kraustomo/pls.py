@@ -81,17 +81,6 @@ def project_cp(choi):
     return ChoiMatrix((v * w) @ v.conj().T)
 
 
-def project_tp(choi):
-    """Orthogonal projection onto the trace-preserving affine subspace.
-
-    Adds X (x) I_out with X = (I - Tr_out Phi) / N, which makes the
-    output partial trace exactly the identity.
-    """
-    n = choi.dim
-    x = (np.eye(n) - partial_trace_out(choi)) / n
-    return ChoiMatrix(choi.mat + np.kron(x, np.eye(n)))
-
-
 def tp_violation(choi):
     """Frobenius distance of Tr_out(Phi) from the identity."""
     return float(np.linalg.norm(partial_trace_out(choi) - np.eye(choi.dim)))

@@ -6,18 +6,20 @@ with two N x N x N products per probe and Kraus block.  The CV builders
 run one eigh per phase-space point, as the package did before
 :mod:`kraustomo.cv` shared one eigh among all the points of a call.  The
 process fidelity is the N^2 x N^2 sqrt(A) B sqrt(A) sandwich the package
-computed before it took the eigenvalues of the r x r matrix X^dag B X.
+computed before it took the nuclear norm of its factors' overlap X^dag Y.
 
-The state wrapper, the two channel actions and the per-label Pauli
-projectors below are references the package does not run: its forward
-model, fits and CLI read kets and Kraus stacks only.  ``pauli_projector``
+The state wrapper, the two channel actions, the per-label Pauli
+projectors and the TP projection below are references the package does
+not run: its forward model, fits and CLI read kets and Kraus stacks
+only, and its CPTP projection carries the TP step as one N x N dual.  ``pauli_projector``
 builds from its own copy of the single-qubit ket table, so comparing it
 with :func:`kraustomo.dv.pauli_kets` checks one table against the other.
 """
 
 import numpy as np
 
-from kraustomo.core import EXACT_TOL, _as_complex, _hermitian_stack
+from kraustomo.core import (EXACT_TOL, ChoiMatrix, _as_complex,
+                            _hermitian_stack, partial_trace_out)
 from kraustomo.cv import annihilation, snap
 from kraustomo.dv import PAULI_LABELS, pauli_kets
 
@@ -173,3 +175,14 @@ def pauli_projectors(n, indices=None):
     """Stacked (P, 2^n, 2^n) projectors |k><k| of :func:`pauli_kets`."""
     kets = pauli_kets(n, indices)
     return kets[:, :, None] * kets[:, None, :].conj()
+
+
+def project_tp(choi):
+    """Orthogonal projection onto the trace-preserving affine subspace.
+
+    Adds X (x) I_out with X = (I - Tr_out Phi) / N, which makes the
+    output partial trace exactly the identity.
+    """
+    n = choi.dim
+    x = (np.eye(n) - partial_trace_out(choi)) / n
+    return ChoiMatrix(choi.mat + np.kron(x, np.eye(n)))

@@ -22,8 +22,9 @@ from kraustomo.dv import random_process
 from kraustomo.gd import (GdConfig, cayley_step, fit, init_kraus, loss,
                           wirtinger_gradient)
 from kraustomo.pls import (InformationIncompleteError, fit_pls,
-                           linear_inversion, project_cp, project_tp)
-from dense_oracle import apply_kraus, choi_apply, pauli_projectors
+                           linear_inversion, project_cp)
+from dense_oracle import (apply_kraus, choi_apply, pauli_projectors,
+                          project_tp)
 
 pytestmark = pytest.mark.slow
 

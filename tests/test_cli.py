@@ -180,6 +180,23 @@ class TestSynth:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err.splitlines() == ["error: MemoryError"]
 
+    @pytest.mark.parametrize("argv", [
+        ("--alpha", "1e300", "--probe-grid=-.5,.5,-.5,.5,3,3"),
+        ("--probe-grid=-1e300,.5,-.5,.5,3,3",)],
+        ids=["alpha-1e300", "grid-1e300"])
+    def test_huge_displacement_warns_truncation_only(self, tmp_path, argv):
+        # |alpha| is compared with sqrt(N / 4) unsquared, so a displacement
+        # far past float range when squared gives the truncation warning
+        # and no overflow.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["synth", "--kind", "cv", "--dim", "4", "--theta",
+                         "0.1", *argv, "--meas-grid=-.5,.5,-.5,.5,3,3",
+                         "--out", str(tmp_path / "x.json")])
+        assert code == EXIT_OK
+        assert caught and all("truncation" in str(w.message) for w in caught)
+
     def test_huge_cv_cutoff_exits_2(self, tmp_path, capsys):
         t0 = time.perf_counter()
         code = main(["synth", "--kind", "cv", "--dim", "20000",
@@ -211,9 +228,9 @@ class TestSynth:
     ])
     def test_non_finite_input_exits_2(self, tmp_path, capsys, argv):
         out, csv_path = tmp_path / "d.json", tmp_path / "d.csv"
-        # Both grid sets warn at N = 8 (|alpha|^2 reaches N / 4 = 2, the
-        # small one by rounding); the input is rejected before any grid is
-        # built, so nothing warns and stderr holds one line.
+        # At N = 8 the default alpha (|alpha|^2 = 2.25) and the default
+        # grids (18) pass N / 4 = 2 and warn; the input is rejected before
+        # any of them is built, so nothing warns and stderr holds one line.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = main(["synth", *argv, "--dim", "8", "--out", str(out),
@@ -653,6 +670,25 @@ class TestFidelity:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert ("non-finite" in captured.err
+                and len(captured.err.splitlines()) == 1)
+
+    @pytest.mark.parametrize("doc", [
+        {"kraus": [[[[1e200, 0]]]]},
+        {"choi": data_module.complex_to_json(8e307 * np.eye(9))}],
+        ids=["kraus-1e200", "choi-trace-2.4e308"])
+    def test_overflowing_fidelity_exits_4(self, tmp_path, capsys, doc):
+        # Finite entries whose fidelity, the nuclear norm of X^dag Y, is
+        # past float range: 1e400 for the Kraus file, 9 x 2.67e307 for
+        # the Choi file.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"schema_version": 1, **doc}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fidelity", str(path), str(path)])
+        assert code == EXIT_NUMERICAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (captured.err.startswith("numerical failure: ")
                 and len(captured.err.splitlines()) == 1)
 
     @pytest.mark.parametrize("doc", [

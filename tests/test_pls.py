@@ -6,9 +6,8 @@ from kraustomo.data import sensing_matrix, subsample, synthesize
 from kraustomo.dv import random_process
 from kraustomo.pls import (InformationIncompleteError, PlsConfig,
                            cp_violation, fit_pls, linear_inversion,
-                           project_cp, project_cptp, project_tp,
-                           tp_violation)
-from dense_oracle import pauli_projectors
+                           project_cp, project_cptp, tp_violation)
+from dense_oracle import pauli_projectors, project_tp
 
 
 @pytest.fixture(scope="module")
